@@ -5,7 +5,9 @@
 //! Each cell pairs an adversity scenario (flash crowd on a dormant
 //! vertex, unfollow/refollow churn storm, Zipf-exponent sweep) with a
 //! fault column (none, crash, injected fsync failure, injected torn
-//! write). The run drives a [`PersistentEngine`] through the scenario
+//! write). The run drives a [`PersistentConcurrentEngine`] on one WAL
+//! partition, checkpointing every [`CHECKPOINT_EVERY`] events, through
+//! the scenario
 //! trace via the stream playback seam, injects the fault at a scheduled
 //! event index, crash-recovers with a clean I/O backend, resumes over
 //! the tail, and checks three invariants against a fault-free twin:
@@ -63,8 +65,8 @@ use magicrecs_gen::adversity::{AdversitySpec, Episode};
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_obs::recorder;
 use magicrecs_persist::{
-    CheckpointDriver, FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentConcurrentEngine,
-    PersistentEngine, RebasePolicy, TempDir,
+    CheckpointDriver, FaultMode, FaultOp, FaultPlan, FaultSpec, FaultVfs, FsyncPolicy,
+    PersistOptions, PersistentConcurrentEngine, RebasePolicy, TempDir,
 };
 use magicrecs_replica::{ClusterMap, Coordinator, Node, NodeConfig, RoutedClient};
 use magicrecs_server::{
@@ -93,7 +95,9 @@ enum Fault {
     /// cannot be delivered; the WAL must poison, never lie.
     FsyncFail,
     /// Armed `FaultPlan::torn_nth_write` — a prefix of the write lands,
-    /// then the device errors.
+    /// then the device errors — paired with a failed rewind, so the
+    /// tear stays on disk and the WAL must poison (a rewound tear is
+    /// retried in place by the WAL and never surfaces).
     TornWrite,
 }
 
@@ -155,9 +159,28 @@ fn engine_opts(fault: Fault) -> PersistOptions {
             FsyncPolicy::EveryN(8)
         },
         segment_bytes: 32 * 1024,
-        checkpoint_every: 256,
         rebase: RebasePolicy::DISABLED,
     }
+}
+
+/// Events between the scenario cells' checkpoints.
+const CHECKPOINT_EVERY: u64 = 256;
+
+/// One durable ingest step of a scenario cell: the event, then a
+/// checkpoint once [`CHECKPOINT_EVERY`] events have landed since the
+/// last one (a failed cut fails the step and is retried on the next).
+fn ingest(
+    engine: &PersistentConcurrentEngine,
+    event: EdgeEvent,
+    since: &mut u64,
+) -> Result<Vec<Candidate>, Error> {
+    let out = engine.on_event(event)?;
+    *since += 1;
+    if *since >= CHECKPOINT_EVERY {
+        engine.checkpoint()?;
+        *since = 0;
+    }
+    Ok(out)
 }
 
 fn detector_config() -> DetectorConfig {
@@ -273,9 +296,11 @@ fn write_flight_dump(
 
 /// The playback context: the engine under test plus the fault backend.
 struct Ctx {
-    engine: Option<PersistentEngine>,
+    engine: Option<PersistentConcurrentEngine>,
     fault_vfs: Option<FaultVfs>,
     candidates: Vec<Candidate>,
+    /// Events ingested since the last checkpoint.
+    since: u64,
 }
 
 struct CellResult {
@@ -314,7 +339,11 @@ fn run_cell(
     let plan = match fault {
         Fault::None | Fault::Crash => FaultPlan::none(),
         Fault::FsyncFail => FaultPlan::fail_nth_sync(1 + seed % 3),
-        Fault::TornWrite => FaultPlan::torn_nth_write(1 + seed % 5, seed % 48),
+        Fault::TornWrite => FaultPlan::torn_nth_write(1 + seed % 5, seed % 48).and(FaultSpec {
+            op: FaultOp::SetLen,
+            nth: 1,
+            mode: FaultMode::Fail,
+        }),
     };
 
     let dir = TempDir::new("adversity");
@@ -322,20 +351,22 @@ fn run_cell(
         engine: None,
         fault_vfs: None,
         candidates: Vec::new(),
+        since: 0,
     };
     if plan.specs.is_empty() {
         ctx.engine = Some(
-            PersistentEngine::create(dir.path(), graph.clone(), 1, config, opts)
+            PersistentConcurrentEngine::create(dir.path(), graph.clone(), 1, config, 1, opts)
                 .expect("create engine"),
         );
     } else {
         let fv = FaultVfs::new_disarmed(plan.clone());
         ctx.engine = Some(
-            PersistentEngine::create_with_vfs(
+            PersistentConcurrentEngine::create_with_vfs(
                 dir.path(),
                 graph.clone(),
                 1,
                 config,
+                1,
                 opts,
                 Arc::new(fv.clone()),
             )
@@ -353,7 +384,7 @@ fn run_cell(
         &breakpoints,
         &mut ctx,
         |c, _, e| {
-            let out = c.engine.as_mut().expect("engine alive").on_event(*e)?;
+            let out = ingest(c.engine.as_ref().expect("engine alive"), *e, &mut c.since)?;
             c.candidates.extend(out);
             Ok(())
         },
@@ -424,12 +455,13 @@ fn run_cell(
         (acked as u64, false, 0u64, Vec::new())
     } else {
         drop(ctx.engine.take()); // the crash: no close(), no final sync
-        match PersistentEngine::open(dir.path(), config, CapStrategy::None, opts) {
-            Ok((mut recovered, rec)) => {
+        match PersistentConcurrentEngine::open(dir.path(), config, CapStrategy::None, 1, opts) {
+            Ok((recovered, rec)) => {
                 let mut post = Vec::new();
                 let mut resume_err = None;
+                let mut since = 0;
                 for &e in &events[rec.next_seq as usize..] {
-                    match recovered.on_event(e) {
+                    match ingest(&recovered, e, &mut since) {
                         Ok(out) => post.extend(out),
                         Err(e) => {
                             resume_err = Some(e);
@@ -502,7 +534,7 @@ fn run_cell(
     j.raw("events", events.len());
     j.raw("at_event", at_event);
     j.str("fsync", &format!("{:?}", opts.fsync));
-    j.raw("checkpoint_every", opts.checkpoint_every);
+    j.raw("checkpoint_every", CHECKPOINT_EVERY);
     j.str(
         "fault_plan",
         &plan
@@ -587,8 +619,8 @@ fn run_checkpoint_cell(
     let config = detector_config();
     // Incremental chain: driver cuts rebase to a full checkpoint every
     // 4 deltas; a 128-event cadence fires many times over the storm.
+    const DRIVER_EVERY: u64 = 128;
     let opts = PersistOptions {
-        checkpoint_every: 128,
         rebase: RebasePolicy {
             max_chain_len: 4,
             max_delta_bytes_ratio: 0.0,
@@ -648,7 +680,7 @@ fn run_checkpoint_cell(
     };
     let driver = CheckpointDriver::spawn(
         Arc::clone(&ctx.engine),
-        opts.checkpoint_every,
+        DRIVER_EVERY,
         std::time::Duration::from_millis(1),
     );
 
@@ -693,7 +725,7 @@ fn run_checkpoint_cell(
     // unless the WAL is poisoned, where every further cut fails by
     // design and waiting would only burn the deadline.
     if report.error.is_none() {
-        await_cadence(&ctx.engine, opts.checkpoint_every);
+        await_cadence(&ctx.engine, DRIVER_EVERY);
     }
     let (driver_completed, driver_failures) = driver.stop();
 
@@ -782,7 +814,7 @@ fn run_checkpoint_cell(
     // while the final cut is in flight.
     if report.error.is_none() {
         green &= check(
-            replayed <= 2 * opts.checkpoint_every,
+            replayed <= 2 * DRIVER_EVERY,
             "chain tip must bound tail replay to the cadence",
             &mut notes,
         );
@@ -821,7 +853,7 @@ fn run_checkpoint_cell(
     j.raw("at_event", at_event);
     j.raw("wal_partitions", PARTS);
     j.str("fsync", &format!("{:?}", opts.fsync));
-    j.raw("checkpoint_every", opts.checkpoint_every);
+    j.raw("checkpoint_every", DRIVER_EVERY);
     j.raw("rebase_max_chain_len", opts.rebase.max_chain_len);
     j.str(
         "fault_plan",

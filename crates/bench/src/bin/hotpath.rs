@@ -519,10 +519,9 @@ fn run_live_checkpoint(json: &mut Json) {
     let trace = celebrity_trace(4_000);
     let cluster = SharedEngineCluster::new(&graph, 2, DetectorConfig::production())
         .expect("valid cluster config");
-    let opts_at = |every: u64| PersistOptions {
+    let opts = PersistOptions {
         fsync: FsyncPolicy::Never,
         segment_bytes: 4 << 20,
-        checkpoint_every: every,
         rebase: RebasePolicy {
             max_chain_len: 8,
             max_delta_bytes_ratio: 0.0,
@@ -535,7 +534,7 @@ fn run_live_checkpoint(json: &mut Json) {
     let one_run = |every: u64| -> f64 {
         let tmp = TempDir::new("bench-live-ckpt");
         let report = cluster
-            .run_trace_persistent(tmp.path(), opts_at(every), &trace)
+            .run_trace_persistent(tmp.path(), opts, every, &trace)
             .expect("persistent run");
         if every > 0 {
             assert!(
@@ -605,21 +604,23 @@ fn run_live_checkpoint(json: &mut Json) {
 /// **Guard**: the delta writes <10% of the full checkpoint's bytes, or
 /// the run aborts (bench-smoke runs this via `--ckpt-only`).
 fn run_checkpoint_bytes(json: &mut Json) {
-    use magicrecs_persist::{FsyncPolicy, PersistOptions, PersistentEngine, RebasePolicy, TempDir};
+    use magicrecs_persist::{
+        FsyncPolicy, PersistOptions, PersistentConcurrentEngine, RebasePolicy, TempDir,
+    };
 
     println!("# checkpoint bytes: full vs incremental at ~1% dirty");
     const TARGETS: u64 = 20_000;
     const DIRTY: u64 = 200;
     let tmp = TempDir::new("bench-ckpt-bytes");
-    let mut pe = PersistentEngine::create(
+    let pe = PersistentConcurrentEngine::create(
         tmp.path(),
         small_graph(1_000),
         0,
         DetectorConfig::production(),
+        1,
         PersistOptions {
             fsync: FsyncPolicy::Never,
             segment_bytes: 4 << 20,
-            checkpoint_every: 0, // manual cuts only
             rebase: RebasePolicy {
                 max_chain_len: 8,
                 max_delta_bytes_ratio: 0.0,
@@ -764,7 +765,7 @@ fn run_obs_guard(json: &mut Json) {
 fn run_persist(json: &mut Json) {
     use magicrecs_core::ConcurrentEngine;
     use magicrecs_graph::GraphDelta;
-    use magicrecs_persist::{FsyncPolicy, PersistOptions, PersistentEngine, TempDir};
+    use magicrecs_persist::{FsyncPolicy, PersistOptions, PersistentConcurrentEngine, TempDir};
 
     println!("# persistence (snapshot refresh / wal / recovery)");
     let base = bench_graph();
@@ -850,15 +851,16 @@ fn run_persist(json: &mut Json) {
     let wal_trace = bench_trace(20_000, 2_000.0, 25, 0x3A1);
     let wal_events = wal_trace.events();
     let tmp = TempDir::new("bench-recovery");
-    let mut pe = PersistentEngine::create(
+    // One WAL partition and no checkpoint: the whole log replays.
+    let pe = PersistentConcurrentEngine::create(
         tmp.path(),
         base.clone(),
         0,
         DetectorConfig::production(),
+        1,
         PersistOptions {
             fsync: FsyncPolicy::Never,
             segment_bytes: 4 << 20,
-            checkpoint_every: 0, // replay the whole log
             ..PersistOptions::default()
         },
     )
@@ -866,12 +868,14 @@ fn run_persist(json: &mut Json) {
     for chunk in wal_events.chunks(64) {
         pe.on_events(chunk).expect("ingest");
     }
-    pe.close().expect("close");
+    pe.sync().expect("sync");
+    drop(pe);
     let start = Instant::now();
-    let (_, report) = PersistentEngine::open(
+    let (_, report) = PersistentConcurrentEngine::open(
         tmp.path(),
         DetectorConfig::production(),
         magicrecs_graph::CapStrategy::None,
+        1,
         PersistOptions::default(),
     )
     .expect("recover");

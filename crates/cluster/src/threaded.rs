@@ -387,7 +387,7 @@ impl SharedEngineCluster {
 
     /// [`SharedEngineCluster::run_trace`] on a durable engine: creates a
     /// fresh [`PersistentConcurrentEngine`] in `dir` with one WAL
-    /// partition per worker, and — when `opts.checkpoint_every > 0` —
+    /// partition per worker, and — when `checkpoint_every > 0` —
     /// attaches a background [`CheckpointDriver`] that cuts fence-vector
     /// checkpoints *while the workers ingest*. Workers never pause for a
     /// cut: a fence stalls appends to one WAL partition, and worker
@@ -403,6 +403,7 @@ impl SharedEngineCluster {
         &self,
         dir: &Path,
         opts: PersistOptions,
+        checkpoint_every: u64,
         events: &[EdgeEvent],
     ) -> Result<PersistentRunReport> {
         let engine = Arc::new(PersistentConcurrentEngine::create(
@@ -416,10 +417,10 @@ impl SharedEngineCluster {
         // A 10 ms cadence-check granularity is far below any sensible
         // `checkpoint_every`, and on a saturated box the poll wakeups
         // themselves time-slice against the workers — poll coarsely.
-        let driver = (opts.checkpoint_every > 0).then(|| {
+        let driver = (checkpoint_every > 0).then(|| {
             CheckpointDriver::spawn(
                 Arc::clone(&engine),
-                opts.checkpoint_every,
+                checkpoint_every,
                 Duration::from_millis(10),
             )
         });
@@ -500,7 +501,7 @@ impl SharedEngineCluster {
                         Some(tip) => engine.next_seq().saturating_sub(tip + 1),
                         None => engine.next_seq(),
                     };
-                    if lag < opts.checkpoint_every || Instant::now() >= deadline {
+                    if lag < checkpoint_every || Instant::now() >= deadline {
                         break;
                     }
                     thread::sleep(Duration::from_millis(1));
@@ -736,9 +737,9 @@ mod tests {
         });
 
         let dir = TempDir::new("cluster-persist");
+        const CHECKPOINT_EVERY: u64 = 128;
         let opts = PersistOptions {
             fsync: FsyncPolicy::Never,
-            checkpoint_every: 128,
             rebase: RebasePolicy {
                 max_chain_len: 8,
                 max_delta_bytes_ratio: 0.0,
@@ -748,7 +749,7 @@ mod tests {
         const WORKERS: usize = 2;
         let cluster = SharedEngineCluster::new(&g, WORKERS, dc).unwrap();
         let report = cluster
-            .run_trace_persistent(dir.path(), opts, trace.events())
+            .run_trace_persistent(dir.path(), opts, CHECKPOINT_EVERY, trace.events())
             .unwrap();
         assert_eq!(report.run.candidates, expected);
         assert_eq!(report.run.events as usize, trace.len());
@@ -770,7 +771,7 @@ mod tests {
         assert_eq!(rec.next_seq, trace.len() as u64);
         assert!(rec.checkpoint_seq.is_some(), "{rec:?}");
         assert!(
-            rec.replayed < opts.checkpoint_every,
+            rec.replayed < CHECKPOINT_EVERY,
             "tail replay exceeds one cadence: {rec:?}"
         );
 

@@ -185,15 +185,6 @@ impl<D: EdgeStore<UserId>> Engine<D> {
         }
     }
 
-    /// [`Engine::apply_to_store`] for a micro-batch: maximal insertion
-    /// runs go through [`EdgeStore::insert_batch`] (a removal flushes the
-    /// pending run first, so per-target op order is preserved). This is
-    /// the recovery-replay and replica fast path.
-    pub fn apply_to_store_batch(&mut self, events: &[EdgeEvent]) {
-        let mut scratch = Vec::with_capacity(events.len());
-        magicrecs_temporal::apply_events_batch(&mut self.store, events, &mut scratch);
-    }
-
     /// Hot-swaps the static graph, returning the previous one.
     ///
     /// The paper: "the A → B edges are computed offline and loaded into
@@ -228,13 +219,6 @@ impl<D: EdgeStore<UserId>> Engine<D> {
     /// The dynamic store.
     pub fn store(&self) -> &D {
         &self.store
-    }
-
-    /// Mutable access to the temporal store `D` — the persistence layer
-    /// uses this to enable and drain dirty-target tracking for
-    /// incremental checkpoints.
-    pub fn store_mut(&mut self) -> &mut D {
-        &mut self.store
     }
 
     /// Engine metrics.
@@ -473,30 +457,6 @@ mod tests {
         );
         assert_eq!(single.store().stats(), batched.store().stats());
         assert!(batched.store().resident_targets() < 200, "advance must run");
-    }
-
-    #[test]
-    fn apply_to_store_batch_matches_single_applies() {
-        let trace: Vec<EdgeEvent> = (0..300u64)
-            .map(|i| {
-                if i % 13 == 0 {
-                    EdgeEvent::unfollow(u(1 + i % 5), u(100 + i % 9), ts(i))
-                } else {
-                    EdgeEvent::follow(u(1 + i % 5), u(100 + i % 9), ts(i))
-                }
-            })
-            .collect();
-        let mut single = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
-        let mut batched = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
-        for &e in &trace {
-            single.apply_to_store(e);
-        }
-        batched.apply_to_store_batch(&trace);
-        assert_eq!(
-            single.store().resident_entries(),
-            batched.store().resident_entries()
-        );
-        assert_eq!(single.store().stats(), batched.store().stats());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! consistent through: for each WAL partition `p`, `fences[p]` is the
 //! first sequence the checkpoint does *not* cover, so recovery replays
 //! partition `p` from `fences[p]`. A length-1 fence vector is uniform
-//! (the sequential engine, and legacy v1 files whose single `last_seq`
+//! (a one-partition log, and legacy v1 files whose single `last_seq`
 //! reads as fence `last_seq + 1` everywhere).
 //!
 //! A **delta** checkpoint (`MGCI`) layers over a predecessor: it records
@@ -53,7 +53,7 @@ pub struct Checkpoint {
     /// the chain-ordering key.
     pub last_seq: u64,
     /// Per-partition fences: partition `p` replays from `fences[p]`.
-    /// Length 1 means uniform (sequential engine / legacy v1 file);
+    /// Length 1 means uniform (one-partition log / legacy v1 file);
     /// [`Checkpoint::fence_vector`] broadcasts it.
     pub fences: Vec<u64>,
     /// `(dst, src, created_at)` entries; per-target in stored time order.
@@ -272,7 +272,7 @@ fn read_fences<R: std::io::Read>(r: &mut R, check: &mut Check, ctx: &str) -> Res
 }
 
 /// Serializes a full checkpoint with a uniform fence (`last_seq + 1`
-/// everywhere) into `w` — the sequential engine's shape.
+/// everywhere) into `w` — a one-partition log's shape.
 pub fn save_checkpoint<W: Write>(
     entries: Vec<(UserId, UserId, Timestamp)>,
     last_seq: u64,

@@ -18,14 +18,17 @@
 //!   epoch-aligned [`checkpoint`]s of the temporal store, and segment
 //!   reclamation once the store's own window pruning passes a segment's
 //!   max timestamp.
-//! * **Crash recovery** ([`recovery`]) — [`recovery::PersistentEngine`]
-//!   (sequential) and [`recovery::PersistentConcurrentEngine`] (shared
-//!   `S` + sharded `D`, per-partition WALs keyed by the hash route)
-//!   restore the snapshot chain and the latest checkpoint chain, replay
-//!   the WAL tail with notification emission suppressed (no duplicate
-//!   deliveries), then hand off to live ingest. After a crash at *any*
-//!   record boundary, the recovered candidate stream is byte-identical to
-//!   an uninterrupted run's (test-enforced by the kill-point matrix).
+//! * **Crash recovery** ([`recovery`]) — the one durable engine,
+//!   [`recovery::PersistentConcurrentEngine`] (shared `S` + sharded `D`,
+//!   per-partition WALs keyed by the hash route), restores the snapshot
+//!   chain and the latest checkpoint chain, replays the WAL tail with
+//!   notification emission suppressed (no duplicate deliveries), then
+//!   hands off to live ingest. After a crash at *any* record boundary,
+//!   the recovered candidate stream is byte-identical to an
+//!   uninterrupted run's (test-enforced by the kill-point matrix). With
+//!   `parts = 1` the log is one dense sequence ([`wal::SINGLE_LOG_PREFIX`])
+//!   and recovery refuses any hole below its end — the single-log
+//!   contract replica units rely on.
 //! * **Non-quiescent checkpoints** — the shared engine checkpoints `D`
 //!   *while ingest runs*: each WAL partition is cut behind its own brief
 //!   fence (appends to that route stall for the export, every other
@@ -45,8 +48,8 @@
 //!   s-delta-…0007-…0008.mgrd                GraphDelta 7 → 8
 //!   d-ckpt-00000000000000004096.mgck        full D checkpoint through seq 4096
 //!   d-ckpt-00000000000000005120.mgci        incremental delta, base 4096
-//!   wal-00000000000000000000.wal            sequential WAL segments …
-//!   wal-p3-00000000000000001042.wal         … or per-partition (route 3)
+//!   wal-p0-00000000000000000000.wal         WAL segments, partition 0 …
+//!   wal-p3-00000000000000001042.wal         … and route 3 (parts > 3)
 //! ```
 //!
 //! WAL segment format (`MGWL`):
@@ -113,7 +116,6 @@
 //!    remains replayable.
 //! 2. **Acknowledged means recoverable.** An event whose append (and
 //!    policy-mandated fsync) returned `Ok` is replayed by
-//!    [`recovery::PersistentEngine::open`] /
 //!    [`recovery::PersistentConcurrentEngine::open`] after a crash, and
 //!    the recovered candidate stream is byte-identical to an
 //!    uninterrupted run's — no duplicates (replay suppresses emission up
@@ -151,9 +153,7 @@ pub use checkpoint::{
     load_latest_chain, load_latest_checkpoint, write_checkpoint, Checkpoint, CheckpointChain,
     DeltaCheckpoint,
 };
-pub use recovery::{
-    CheckpointDriver, PersistOptions, PersistentConcurrentEngine, PersistentEngine, RecoveryReport,
-};
+pub use recovery::{CheckpointDriver, PersistOptions, PersistentConcurrentEngine, RecoveryReport};
 pub use replica::{segment_catalog, segment_containing, ShipDecoder, ShippableSegment};
 pub use snapshot::{RebasePolicy, SnapshotStore};
 pub use tempdir::TempDir;

@@ -1,16 +1,19 @@
 //! Crash recovery: snapshot chain + `D` checkpoint + WAL tail replay.
 //!
-//! [`PersistentEngine`] wraps the sequential [`Engine`];
-//! [`PersistentConcurrentEngine`] wraps the shared-state
-//! [`ConcurrentEngine`] with per-partition WALs keyed by the hash route.
-//! Both follow the same lifecycle:
+//! [`PersistentConcurrentEngine`] is the one durable engine: the
+//! shared-state [`ConcurrentEngine`] behind per-partition WALs keyed by
+//! the hash route. The durable serving path, the in-process cluster and
+//! every replica unit run it; with `parts = 1` its log is a single dense
+//! sequence (`wal-p0-…`), and recovery then refuses any hole below the
+//! log's end exactly as a single sequential log would. Its lifecycle:
 //!
-//! 1. **create** — publish the base `S` snapshot, start an empty WAL;
+//! 1. **create** — publish the base `S` snapshot, start empty WALs;
 //! 2. **ingest** — every event is appended to the WAL *before* the engine
-//!    applies it (write-ahead), checkpoints of `D` land every
-//!    `checkpoint_every` events, and [`advance`](PersistentEngine::advance)
-//!    reclaims WAL segments the window pruning + checkpoint have both
-//!    passed;
+//!    applies it (write-ahead), checkpoints of `D` land when the owner
+//!    asks ([`PersistentConcurrentEngine::checkpoint`], or a
+//!    [`CheckpointDriver`] cadence), and
+//!    [`advance`](PersistentConcurrentEngine::advance) reclaims WAL
+//!    segments the window pruning + checkpoint have both passed;
 //! 3. **open** (after a crash or restart) — reload base + delta chain,
 //!    restore the newest `D` checkpoint **chain** (full + incremental
 //!    deltas), replay each WAL partition's tail above its fence through
@@ -28,8 +31,7 @@
 //! engines themselves document for `advance`. Replay applies `D`
 //! mutations without re-running detection: in-window witness sets depend
 //! only on the per-target insert/remove sequence, which the WAL preserves
-//! per target (globally for the sequential engine; per hash-route
-//! partition — and targets are route-sticky — for the shared engine).
+//! per target (per hash-route partition, and targets are route-sticky).
 //!
 //! ## The fence-vector consistency contract
 //!
@@ -66,8 +68,8 @@ use crate::checkpoint::{
 };
 use crate::snapshot::{RebasePolicy, SnapshotStore};
 use crate::vfs::{std_vfs, Vfs};
-use crate::wal::{self, route_partition, FsyncPolicy, SharedWal, Wal, WalOptions};
-use magicrecs_core::{ConcurrentEngine, Engine};
+use crate::wal::{self, route_partition, FsyncPolicy, SharedWal, WalOptions};
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphDelta};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Result, Timestamp, UserId};
 use parking_lot::Mutex;
@@ -82,16 +84,6 @@ pub struct PersistOptions {
     pub fsync: FsyncPolicy,
     /// WAL segment roll threshold, bytes.
     pub segment_bytes: u64,
-    /// Events between automatic `D` checkpoints (0 disables — the WAL
-    /// then replays from its beginning and is never reclaimed).
-    ///
-    /// The sequential engine checkpoints inline from its ingest path.
-    /// [`PersistentConcurrentEngine`] keeps ingest wait-free and leaves
-    /// the cadence to a [`CheckpointDriver`] (or explicit
-    /// [`PersistentConcurrentEngine::checkpoint`] calls) — checkpoints
-    /// there never require quiescing, see the fence-vector contract in
-    /// the module docs.
-    pub checkpoint_every: u64,
     /// When `publish_graph_delta` folds the snapshot delta chain into a
     /// fresh base automatically (see [`RebasePolicy`]), **and** when the
     /// `D` checkpoint chain rebases an incremental run onto a fresh full
@@ -107,7 +99,6 @@ impl Default for PersistOptions {
         PersistOptions {
             fsync: FsyncPolicy::EveryN(256),
             segment_bytes: 1 << 20,
-            checkpoint_every: 4096,
             rebase: RebasePolicy::default(),
         }
     }
@@ -143,8 +134,6 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-const SEQ_WAL_PREFIX: &str = "wal-";
-
 /// How many replayed events accumulate before a batched store apply —
 /// bounds the replay buffer while still amortizing shard locking.
 const REPLAY_APPLY_CHUNK: usize = 4096;
@@ -156,8 +145,7 @@ const REPLAY_APPLY_CHUNK: usize = 4096;
 struct ChainState {
     /// Id (= covered sequence) of the chain tip.
     tip_id: u64,
-    /// The tip's per-partition fence vector (length = WAL partitions;
-    /// `[tip_id + 1]` for the sequential engine).
+    /// The tip's per-partition fence vector (length = WAL partitions).
     fences: Vec<u64>,
     /// Deltas stacked on the newest full.
     chain_len: usize,
@@ -219,10 +207,9 @@ fn incremental(policy: RebasePolicy) -> bool {
 /// [`magicrecs_temporal::EdgeStore::insert_batch`]-shaped apply without
 /// ever materializing a second full copy of the checkpoint), returning
 /// `(fences, chain_state, entries_restored)` — the per-partition WAL
-/// replay bounds shared by both engines' recovery paths. `parts` is the
-/// WAL partition count the fence vector must match (a stored
-/// single-fence vector broadcasts — v1 checkpoints and sequential-engine
-/// files carry one fence).
+/// replay bounds. `parts` is the WAL partition count the fence vector
+/// must match (a stored single-fence vector broadcasts — v1 checkpoints
+/// carry one fence).
 fn restore_checkpoint(
     dir: &Path,
     parts: usize,
@@ -277,364 +264,6 @@ fn ensure_no_stale_state(dir: &Path, snapshots: &SnapshotStore) -> Result<()> {
         )));
     }
     Ok(())
-}
-
-/// The sequential engine with durability: `Engine` + snapshot store +
-/// write-ahead log + checkpoints.
-#[derive(Debug)]
-pub struct PersistentEngine {
-    engine: Engine,
-    wal: Wal,
-    snapshots: SnapshotStore,
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    epoch: u64,
-    checkpoint_every: u64,
-    since_checkpoint: u64,
-    rebase: RebasePolicy,
-    /// The on-disk checkpoint chain (tip id, fences, rebase accounting).
-    chain: Option<ChainState>,
-}
-
-impl PersistentEngine {
-    /// Creates a fresh persistent engine in `dir`: publishes `graph` as
-    /// the base snapshot for `epoch` and starts an empty WAL. Refuses a
-    /// directory that already holds any persistence state (WAL segments,
-    /// checkpoints, or snapshots).
-    pub fn create(
-        dir: &Path,
-        graph: FollowGraph,
-        epoch: u64,
-        config: DetectorConfig,
-        opts: PersistOptions,
-    ) -> Result<Self> {
-        Self::create_with_vfs(dir, graph, epoch, config, opts, std_vfs())
-    }
-
-    /// [`PersistentEngine::create`] on an explicit I/O backend: every
-    /// durable mutation (WAL appends, checkpoints, snapshot publishes,
-    /// reclamation) goes through `vfs`. The default constructor threads
-    /// the [`crate::StdVfs`] passthrough.
-    pub fn create_with_vfs(
-        dir: &Path,
-        graph: FollowGraph,
-        epoch: u64,
-        config: DetectorConfig,
-        opts: PersistOptions,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<Self> {
-        let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
-        // Refuse before sweeping: a refused directory keeps even its
-        // .tmp crash artifacts for open()-based recovery or inspection.
-        ensure_no_stale_state(dir, &snapshots)?;
-        crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
-        snapshots.publish_base(epoch, &graph)?;
-        let wal = Wal::create_with_vfs(dir, SEQ_WAL_PREFIX, opts.wal(), Arc::clone(&vfs))?;
-        let mut engine = Engine::new(graph, config)?;
-        if incremental(opts.rebase) {
-            engine.store_mut().enable_dirty_tracking();
-        }
-        Ok(PersistentEngine {
-            engine,
-            wal,
-            snapshots,
-            vfs,
-            dir: dir.to_path_buf(),
-            epoch,
-            checkpoint_every: opts.checkpoint_every,
-            since_checkpoint: 0,
-            rebase: opts.rebase,
-            chain: None,
-        })
-    }
-
-    /// Recovers from `dir`: snapshot chain → checkpoint → WAL tail replay
-    /// (emission suppressed) → ready for live ingest.
-    pub fn open(
-        dir: &Path,
-        config: DetectorConfig,
-        cap: CapStrategy,
-        opts: PersistOptions,
-    ) -> Result<(Self, RecoveryReport)> {
-        Self::open_with_vfs(dir, config, cap, opts, std_vfs())
-    }
-
-    /// [`PersistentEngine::open`] on an explicit I/O backend (recovery
-    /// repairs — tail truncation, tmp sweeps — go through it too).
-    pub fn open_with_vfs(
-        dir: &Path,
-        config: DetectorConfig,
-        cap: CapStrategy,
-        opts: PersistOptions,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<(Self, RecoveryReport)> {
-        let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
-        // Crash artifacts (interrupted durable publishes) die here, at
-        // the point that owns recovery cleanup.
-        crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
-        let loaded = snapshots.load_latest(cap)?;
-        let mut engine = Engine::new(loaded.graph, config)?;
-
-        let (fences, chain, checkpoint_entries) =
-            restore_checkpoint(dir, 1, |events| engine.apply_to_store_batch(events))?;
-        let min_seq = fences[0];
-        let checkpoint_seq = chain.as_ref().map(|c| c.tip_id);
-        // Tracking must be live *before* tail replay: replayed mutations
-        // are exactly what the next delta checkpoint has to export.
-        if incremental(opts.rebase) {
-            engine.store_mut().enable_dirty_tracking();
-        }
-
-        let mut replayed = 0u64;
-        // Contiguity-checked: the sequential log is dense from seq 0, so
-        // a hole (lost middle segment) must refuse recovery rather than
-        // silently rebuild `D` without those events. Applies land in
-        // bounded batches (the replay fast path — no per-event store
-        // round trip).
-        let mut replay_buf: Vec<EdgeEvent> = Vec::with_capacity(REPLAY_APPLY_CHUNK);
-        let stats = wal::replay_contiguous(dir, SEQ_WAL_PREFIX, min_seq, |record| {
-            replay_buf.push(record.event);
-            replayed += 1;
-            if replay_buf.len() >= REPLAY_APPLY_CHUNK {
-                engine.apply_to_store_batch(&replay_buf);
-                replay_buf.clear();
-            }
-        })?;
-        engine.apply_to_store_batch(&replay_buf);
-        // Floor at the checkpoint's coverage: a fully-reclaimed log must
-        // not restart sequences at 0 below what the checkpoint claims —
-        // a later recovery's `min_seq` filter would silently skip them.
-        let wal =
-            Wal::open_with_floor_vfs(dir, SEQ_WAL_PREFIX, opts.wal(), min_seq, Arc::clone(&vfs))?;
-        let report = RecoveryReport {
-            snapshot_epoch: loaded.epoch,
-            deltas_applied: loaded.deltas_applied,
-            checkpoint_seq,
-            replayed,
-            checkpoint_entries,
-            next_seq: wal.next_seq(),
-            torn_tail: stats.torn_tail,
-        };
-        Ok((
-            PersistentEngine {
-                engine,
-                wal,
-                snapshots,
-                vfs,
-                dir: dir.to_path_buf(),
-                epoch: loaded.epoch,
-                checkpoint_every: opts.checkpoint_every,
-                since_checkpoint: 0,
-                rebase: opts.rebase,
-                chain,
-            },
-            report,
-        ))
-    }
-
-    /// Processes one event durably: WAL append first (write-ahead), then
-    /// detection; an automatic checkpoint lands every `checkpoint_every`
-    /// events. The single-event wrapper over
-    /// [`PersistentEngine::on_events_into`].
-    pub fn on_event(&mut self, event: EdgeEvent) -> Result<Vec<Candidate>> {
-        let mut out = Vec::new();
-        self.on_events_into(std::slice::from_ref(&event), &mut out)?;
-        Ok(out)
-    }
-
-    /// Processes a micro-batch durably: the **whole batch is
-    /// written ahead with one group commit** ([`Wal::append_batch`] — one
-    /// `write(2)`, one fsync-policy pass) before any detection runs, so
-    /// the batch is a single durability point; then the engine detects
-    /// the slice ([`Engine::on_events_into`], identical candidates to N
-    /// single events). Checkpoint cadence is counted in *events*, not
-    /// batches — a batch that crosses the cadence boundary checkpoints at
-    /// its end (the cadence is a replay-cost bound, not a semantic
-    /// boundary; the kill-point matrix covers batches straddling it).
-    pub fn on_events_into(
-        &mut self,
-        events: &[EdgeEvent],
-        out: &mut Vec<Candidate>,
-    ) -> Result<usize> {
-        self.wal.append_batch(events)?;
-        let emitted = self.engine.on_events_into(events, out);
-        self.since_checkpoint += events.len() as u64;
-        if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
-            self.checkpoint()?;
-        }
-        Ok(emitted)
-    }
-
-    /// [`PersistentEngine::on_events_into`] collecting into a fresh
-    /// vector.
-    pub fn on_events(&mut self, events: &[EdgeEvent]) -> Result<Vec<Candidate>> {
-        let mut out = Vec::new();
-        self.on_events_into(events, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes a `D` checkpoint covering everything appended so far. With
-    /// a non-disabled [`RebasePolicy`] the checkpoint is **incremental**
-    /// where the chain allows: only targets dirtied since the previous
-    /// cut are written (as a delta chained on the last full), rebasing to
-    /// a fresh full per the policy. Restoring the chain is equivalent to
-    /// restoring one full checkpoint taken at the same cut.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        let next = self.wal.next_seq();
-        if next == 0 {
-            return Ok(()); // nothing to cover
-        }
-        let covered = next - 1;
-        if self.chain.as_ref().is_some_and(|c| c.tip_id == covered) {
-            self.since_checkpoint = 0;
-            return Ok(()); // tip already covers every assigned sequence
-        }
-        // Durability order: records must be on disk before a checkpoint
-        // claims to cover them (else a crash could reclaim-then-lose).
-        self.wal.sync()?;
-        let fences = vec![next];
-        let full = self
-            .chain
-            .as_ref()
-            .is_none_or(|c| c.wants_full(self.rebase));
-        if full {
-            let mut entries = Vec::new();
-            self.engine.store().export_entries(&mut entries);
-            // A full covers every target, so standing dirty marks are
-            // consumed here; kept as an undo log in case the write fails
-            // (losing marks would silently drop targets from the next
-            // delta).
-            let drained = self.engine.store_mut().clear_dirty_where(|_| true);
-            match write_checkpoint_fenced_with(
-                &self.dir,
-                entries,
-                covered,
-                &fences,
-                self.vfs.as_ref(),
-            ) {
-                Ok((_, bytes)) => {
-                    self.chain = Some(ChainState {
-                        tip_id: covered,
-                        fences,
-                        chain_len: 0,
-                        full_bytes: bytes,
-                        delta_bytes: 0,
-                    });
-                }
-                Err(e) => {
-                    self.engine.store_mut().mark_dirty_many(drained);
-                    return Err(e);
-                }
-            }
-        } else {
-            let mut entries = Vec::new();
-            let mut tombstones = Vec::new();
-            let mut drained = Vec::new();
-            self.engine.store_mut().drain_dirty_exports(
-                |_| true,
-                &mut entries,
-                &mut tombstones,
-                &mut drained,
-            );
-            let base_id = self.chain.as_ref().expect("delta requires a chain").tip_id;
-            match write_delta_checkpoint_with(
-                &self.dir,
-                entries,
-                tombstones,
-                covered,
-                base_id,
-                &fences,
-                self.vfs.as_ref(),
-            ) {
-                Ok((_, bytes)) => {
-                    let c = self.chain.as_mut().expect("delta requires a chain");
-                    c.tip_id = covered;
-                    c.fences = fences;
-                    c.chain_len += 1;
-                    c.delta_bytes += bytes;
-                    c.publish_dirty_ratio();
-                }
-                Err(e) => {
-                    self.engine.store_mut().mark_dirty_many(drained);
-                    return Err(e);
-                }
-            }
-        }
-        self.since_checkpoint = 0;
-        Ok(())
-    }
-
-    /// Advances window expiry and reclaims WAL segments that are both
-    /// past the retention window and covered by the checkpoint chain tip.
-    pub fn advance(&mut self, now: Timestamp) -> Result<usize> {
-        self.engine.advance(now);
-        match &self.chain {
-            Some(c) => {
-                let cutoff = now.saturating_sub(self.engine.store().window());
-                self.wal.reclaim_before(cutoff, c.tip_id)
-            }
-            None => Ok(0),
-        }
-    }
-
-    /// Applies and durably publishes a snapshot delta: the delta file
-    /// joins the chain on disk, then the in-memory `S` refreshes via
-    /// [`Engine::swap_graph_delta`]. The delta must extend the current
-    /// epoch.
-    ///
-    /// When the chain outgrows the configured [`RebasePolicy`], the
-    /// current graph is republished as a fresh base at the new epoch and
-    /// the superseded files are compacted — recovery cost stays bounded
-    /// by the policy, and orphaned (delta-removed) vertices leave the
-    /// on-disk interner with the rebase.
-    pub fn publish_graph_delta(&mut self, delta: &GraphDelta) -> Result<()> {
-        if delta.base_epoch != self.epoch {
-            return Err(Error::Invariant(format!(
-                "delta base epoch {} does not extend current epoch {}",
-                delta.base_epoch, self.epoch
-            )));
-        }
-        self.snapshots.publish_delta(delta)?;
-        self.engine.swap_graph_delta(delta)?;
-        self.epoch = delta.target_epoch;
-        if self.snapshots.should_rebase(self.rebase)? {
-            self.snapshots
-                .publish_base(self.epoch, self.engine.graph())?;
-            self.snapshots.compact()?;
-        }
-        Ok(())
-    }
-
-    /// The current snapshot epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The WAL sequence the next event will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.wal.next_seq()
-    }
-
-    /// Id (covered sequence) of the checkpoint chain tip, if any.
-    pub fn checkpoint_tip(&self) -> Option<u64> {
-        self.chain.as_ref().map(|c| c.tip_id)
-    }
-
-    /// On-disk WAL segment count (bounded by τ + checkpoint cadence once
-    /// reclamation runs).
-    pub fn wal_segments(&self) -> usize {
-        self.wal.segment_count()
-    }
-
-    /// Flushes and closes the WAL (also happens on drop).
-    pub fn close(self) -> Result<()> {
-        self.wal.close()
-    }
 }
 
 /// The shared-state engine with durability: [`ConcurrentEngine`] +
@@ -766,8 +395,9 @@ impl PersistentConcurrentEngine {
             }
         })?;
         engine.apply_to_store_batch(&replay_buf);
-        // Same floor rationale as the sequential path: never resume the
-        // global sequence below what the checkpoint covers.
+        // Floor at the checkpoint's coverage: a fully-reclaimed log must
+        // not restart sequences below what the checkpoint claims — a
+        // later recovery's fence filter would silently skip them.
         let wal =
             SharedWal::open_with_floor_vfs(dir, parts, opts.wal(), min_seq, Arc::clone(&vfs))?;
         // Seal the recovered state behind a fresh checkpoint before any
@@ -1043,10 +673,17 @@ impl PersistentConcurrentEngine {
         }
     }
 
-    /// Applies and durably publishes a snapshot delta (see
-    /// [`PersistentEngine::publish_graph_delta`], including the automatic
-    /// rebase when the chain outgrows the configured [`RebasePolicy`];
-    /// publication is serialized on the internal state lock).
+    /// Applies and durably publishes a snapshot delta: the delta file
+    /// joins the chain on disk, then the in-memory `S` refreshes via
+    /// [`ConcurrentEngine::swap_graph_delta`]. The delta must extend the
+    /// current epoch; publication is serialized on the internal state
+    /// lock.
+    ///
+    /// When the chain outgrows the configured [`RebasePolicy`], the
+    /// current graph is republished as a fresh base at the new epoch and
+    /// the superseded files are compacted — recovery cost stays bounded
+    /// by the policy, and orphaned (delta-removed) vertices leave the
+    /// on-disk interner with the rebase.
     pub fn publish_graph_delta(&self, delta: &GraphDelta) -> Result<()> {
         let mut state = self.state.lock();
         if delta.base_epoch != state.epoch {
@@ -1090,9 +727,8 @@ impl PersistentConcurrentEngine {
 /// Background checkpoint cadence for [`PersistentConcurrentEngine`]:
 /// polls the engine's sequence and takes a (non-quiescent) checkpoint
 /// whenever at least `every` events have been assigned past the chain
-/// tip — the shared-engine analogue of the sequential engine's inline
-/// `checkpoint_every`, kept off the ingest path entirely so workers
-/// never pay for a cut they didn't cause.
+/// tip — kept off the ingest path entirely so workers never pay for a
+/// cut they didn't cause.
 ///
 /// Failures are counted, not fatal: a failed cut leaves the previous
 /// chain tip (and the store's dirty marks) intact, and the next poll
@@ -1182,6 +818,7 @@ impl Drop for CheckpointDriver {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use magicrecs_core::Engine;
     use magicrecs_graph::GraphBuilder;
     use magicrecs_types::UserId;
 
@@ -1209,9 +846,51 @@ mod tests {
         PersistOptions {
             fsync: FsyncPolicy::Never,
             segment_bytes: 4096,
-            checkpoint_every: 64,
             rebase: RebasePolicy::DISABLED,
         }
+    }
+
+    /// A one-partition engine: the dense single-log layout.
+    fn create1(
+        dir: &Path,
+        graph: FollowGraph,
+        epoch: u64,
+        o: PersistOptions,
+    ) -> PersistentConcurrentEngine {
+        PersistentConcurrentEngine::create(dir, graph, epoch, DetectorConfig::example(), 1, o)
+            .unwrap()
+    }
+
+    /// Recovers a one-partition engine.
+    fn open1(dir: &Path, o: PersistOptions) -> (PersistentConcurrentEngine, RecoveryReport) {
+        PersistentConcurrentEngine::open(dir, DetectorConfig::example(), CapStrategy::None, 1, o)
+            .unwrap()
+    }
+
+    /// On-disk segment count of a one-partition log.
+    fn wal_segments(dir: &Path) -> usize {
+        wal::list_segments(dir, wal::SINGLE_LOG_PREFIX)
+            .unwrap()
+            .len()
+    }
+
+    /// Feeds `events` one at a time, checkpointing after every `every`
+    /// events (0: never) — the cadence a [`CheckpointDriver`] or a
+    /// replica's `CheckpointReq` supplies. Returns each event's
+    /// candidates.
+    fn feed(
+        pe: &PersistentConcurrentEngine,
+        events: &[EdgeEvent],
+        every: usize,
+    ) -> Vec<Vec<Candidate>> {
+        let mut out = Vec::with_capacity(events.len());
+        for (i, &e) in events.iter().enumerate() {
+            out.push(pe.on_event(e).unwrap());
+            if every > 0 && (i + 1) % every == 0 {
+                pe.checkpoint().unwrap();
+            }
+        }
+        out
     }
 
     /// A deterministic motif-heavy trace with monotone timestamps.
@@ -1231,32 +910,16 @@ mod tests {
     #[test]
     fn create_run_reopen_continues_sequence() {
         let t = TempDir::new("pe");
-        let mut pe = PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            opts(),
-        )
-        .unwrap();
+        let pe = create1(t.path(), small_graph(), 0, opts());
         let events = trace(200);
-        let mut live: Vec<Vec<Candidate>> = Vec::new();
-        for &e in &events {
-            live.push(pe.on_event(e).unwrap());
-        }
+        feed(&pe, &events, 64);
         let n = pe.next_seq();
-        pe.close().unwrap();
+        drop(pe);
 
-        let (mut reopened, report) = PersistentEngine::open(
-            t.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            opts(),
-        )
-        .unwrap();
+        let (reopened, report) = open1(t.path(), opts());
         assert_eq!(report.next_seq, n);
         assert_eq!(report.snapshot_epoch, 0);
-        assert!(report.checkpoint_seq.is_some(), "auto checkpoints ran");
+        assert!(report.checkpoint_seq.is_some(), "checkpoints ran");
         assert!(!report.torn_tail);
         // The recovered engine continues with the same candidates an
         // uninterrupted engine produces.
@@ -1275,69 +938,36 @@ mod tests {
     #[test]
     fn replay_suppresses_emission() {
         let t = TempDir::new("pe");
-        let mut pe = PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            PersistOptions {
-                checkpoint_every: 0, // force full-log replay
-                ..opts()
-            },
-        )
-        .unwrap();
-        let mut fired = 0usize;
-        for &e in &trace(150) {
-            fired += pe.on_event(e).unwrap().len();
-        }
+        let pe = create1(t.path(), small_graph(), 0, opts());
+        // No checkpoint: the whole log replays.
+        let fired: usize = feed(&pe, &trace(150), 0).iter().map(Vec::len).sum();
         assert!(fired > 0, "fixture must fire candidates");
-        pe.close().unwrap();
-        let (reopened, report) = PersistentEngine::open(
-            t.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            opts(),
-        )
-        .unwrap();
+        drop(pe);
+        let (reopened, report) = open1(t.path(), opts());
         assert!(report.replayed > 0);
         // Replay mutated D only: engine-level candidate stats untouched.
-        assert_eq!(reopened.engine().stats().candidates.get(), 0);
-        assert_eq!(reopened.engine().stats().events.get(), 0);
+        assert_eq!(reopened.engine().stats().candidates, 0);
+        assert_eq!(reopened.engine().stats().events, 0);
         assert!(reopened.engine().store().resident_entries() > 0);
     }
 
     #[test]
     fn checkpoint_bounds_replay_and_enables_reclaim() {
         let t = TempDir::new("pe");
-        let mut pe = PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            PersistOptions {
-                segment_bytes: 512,
-                checkpoint_every: 50,
-                ..opts()
-            },
-        )
-        .unwrap();
-        for &e in &trace(500) {
-            pe.on_event(e).unwrap();
-        }
-        let segments_before = pe.wal_segments();
+        let o = PersistOptions {
+            segment_bytes: 512,
+            ..opts()
+        };
+        let pe = create1(t.path(), small_graph(), 0, o);
+        feed(&pe, &trace(500), 50);
+        let segments_before = wal_segments(t.path());
         // Far future: everything is outside the window and checkpointed.
         let removed = pe.advance(ts(10_000_000)).unwrap();
         assert!(removed > 0, "reclaim should delete covered segments");
-        assert!(pe.wal_segments() < segments_before);
-        pe.close().unwrap();
+        assert!(wal_segments(t.path()) < segments_before);
+        drop(pe);
 
-        let (_, report) = PersistentEngine::open(
-            t.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            opts(),
-        )
-        .unwrap();
+        let (_, report) = open1(t.path(), opts());
         // Replay is bounded by the checkpoint, not the whole history.
         assert!(report.replayed < 500, "replayed {}", report.replayed);
     }
@@ -1347,25 +977,20 @@ mod tests {
         // A reclaimed-empty WAL directory still holds a checkpoint: a
         // fresh engine created there would restart sequences at 0 and
         // the stale checkpoint would shadow its state on recovery.
+        let create = |dir: &Path, parts: usize| {
+            PersistentConcurrentEngine::create(
+                dir,
+                small_graph(),
+                0,
+                DetectorConfig::example(),
+                parts,
+                opts(),
+            )
+        };
         let t = TempDir::new("pe");
         crate::checkpoint::write_checkpoint(t.path(), vec![(u(1), u(2), ts(3))], 100).unwrap();
-        assert!(PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            opts()
-        )
-        .is_err());
-        assert!(PersistentConcurrentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            2,
-            opts()
-        )
-        .is_err());
+        assert!(create(t.path(), 1).is_err());
+        assert!(create(t.path(), 2).is_err());
 
         // Same for a leftover snapshot base (a stale higher epoch would
         // win the newest-base scan over the freshly published one).
@@ -1374,14 +999,7 @@ mod tests {
             .unwrap()
             .publish_base(5, &small_graph())
             .unwrap();
-        assert!(PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            opts()
-        )
-        .is_err());
+        assert!(create(t.path(), 1).is_err());
 
         // And for leftover WAL segments alone: create must refuse
         // *before* publishing anything (a base published first would
@@ -1391,14 +1009,7 @@ mod tests {
             let shared = crate::wal::SharedWal::create(t.path(), 2, opts().wal()).unwrap();
             shared.append(EdgeEvent::follow(u(1), u(2), ts(3))).unwrap();
         }
-        assert!(PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            opts()
-        )
-        .is_err());
+        assert!(create(t.path(), 1).is_err());
         let published: Vec<_> = std::fs::read_dir(t.path())
             .unwrap()
             .filter_map(|e| {
@@ -1417,49 +1028,36 @@ mod tests {
         let t = TempDir::new("pe");
         let o = PersistOptions {
             segment_bytes: 512,
-            checkpoint_every: 50,
             ..opts()
         };
-        let mut pe =
-            PersistentEngine::create(t.path(), small_graph(), 0, DetectorConfig::example(), o)
-                .unwrap();
-        for &e in &trace(200) {
-            pe.on_event(e).unwrap();
-        }
+        let pe = create1(t.path(), small_graph(), 0, o);
+        feed(&pe, &trace(200), 50);
         pe.checkpoint().unwrap();
         let n = pe.next_seq();
-        pe.close().unwrap();
+        drop(pe);
 
         // Idle period, then advance: the checkpoint covers every record
         // and the window has passed, so reclamation empties the log.
-        let (mut pe, _) =
-            PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
-                .unwrap();
+        let (pe, _) = open1(t.path(), o);
         pe.advance(ts(10_000_000)).unwrap();
-        assert_eq!(pe.wal_segments(), 0, "fully reclaimed");
+        assert_eq!(wal_segments(t.path()), 0, "fully reclaimed");
         assert_eq!(pe.next_seq(), n);
-        pe.close().unwrap();
+        drop(pe);
 
         // Zero segment files on disk: the checkpoint floor must keep the
         // sequence from restarting at 0 below what the checkpoint covers.
-        let (mut pe, report) =
-            PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
-                .unwrap();
+        let (pe, report) = open1(t.path(), o);
         assert_eq!(report.next_seq, n, "sequence regressed below checkpoint");
         let extra: Vec<EdgeEvent> = (0..40)
             .map(|i| EdgeEvent::follow(u(11 + i % 2), u(700 + i % 7), ts(10_000_100 + i)))
             .collect();
-        for &e in &extra {
-            pe.on_event(e).unwrap();
-        }
-        pe.close().unwrap();
+        feed(&pe, &extra, 0);
+        drop(pe);
 
         // Post-reclaim ingest landed above the checkpoint, so the next
         // recovery replays all of it (a regressed sequence would have
         // filtered every record out as "already covered").
-        let (_, report) =
-            PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
-                .unwrap();
+        let (_, report) = open1(t.path(), o);
         assert_eq!(report.replayed, extra.len() as u64);
         assert_eq!(report.next_seq, n + extra.len() as u64);
     }
@@ -1472,9 +1070,7 @@ mod tests {
             b.add_edge(u(1), u(11));
             b.build()
         };
-        let mut pe =
-            PersistentEngine::create(t.path(), g0.clone(), 7, DetectorConfig::example(), opts())
-                .unwrap();
+        let pe = create1(t.path(), g0.clone(), 7, opts());
         let delta = GraphDelta::between(&g0, &small_graph(), 7, 8).unwrap();
         pe.on_event(EdgeEvent::follow(u(11), u(99), ts(10)))
             .unwrap();
@@ -1486,15 +1082,9 @@ mod tests {
             .on_event(EdgeEvent::follow(u(12), u(99), ts(11)))
             .unwrap();
         assert_eq!(r.len(), 2, "refreshed S enables the motif");
-        pe.close().unwrap();
+        drop(pe);
 
-        let (reopened, report) = PersistentEngine::open(
-            t.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            opts(),
-        )
-        .unwrap();
+        let (reopened, report) = open1(t.path(), opts());
         assert_eq!(report.snapshot_epoch, 8);
         assert_eq!(report.deltas_applied, 1);
         assert_eq!(
@@ -1533,9 +1123,7 @@ mod tests {
         // Vertex 9 → 99 exists only in the base; the first delta removes
         // it, orphaning both endpoints in the interner until a rebase.
         let g0 = build(&[(1, 11), (1, 12), (9, 99)]);
-        let mut pe =
-            PersistentEngine::create(t.path(), g0.clone(), 0, DetectorConfig::example(), o)
-                .unwrap();
+        let pe = create1(t.path(), g0.clone(), 0, o);
         let mut current = g0;
         for epoch in 0..3u64 {
             let mut edges = edges_of(&current);
@@ -1570,12 +1158,10 @@ mod tests {
         assert!(loaded.graph.dense_of(u(9)).is_none(), "orphan interned");
         assert!(loaded.graph.dense_of(u(99)).is_none(), "orphan interned");
         assert_eq!(loaded.graph.num_follow_edges(), current.num_follow_edges());
-        pe.close().unwrap();
+        drop(pe);
 
         // Recovery picks up the rebased base and continues.
-        let (reopened, report) =
-            PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
-                .unwrap();
+        let (reopened, report) = open1(t.path(), o);
         assert_eq!(report.snapshot_epoch, 3);
         assert_eq!(report.deltas_applied, 0);
         assert!(reopened.engine().graph().dense_of(u(9)).is_none());
@@ -1586,55 +1172,34 @@ mod tests {
         let t_single = TempDir::new("pe-s");
         let t_batch = TempDir::new("pe-b");
         let o = PersistOptions {
-            segment_bytes: 2048,  // batches straddle segment rolls
-            checkpoint_every: 70, // and checkpoint cadence boundaries
+            segment_bytes: 2048, // batches straddle segment rolls
             ..opts()
         };
+        // And checkpoint cadence boundaries: a batch that crosses one
+        // checkpoints at its end.
+        const EVERY: usize = 70;
         let events = trace(400);
-        let mut single = PersistentEngine::create(
-            t_single.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            o,
-        )
-        .unwrap();
-        let mut batched = PersistentEngine::create(
-            t_batch.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            o,
-        )
-        .unwrap();
-        let mut want = Vec::new();
-        for &e in &events {
-            want.extend(single.on_event(e).unwrap());
-        }
+        let single = create1(t_single.path(), small_graph(), 0, o);
+        let batched = create1(t_batch.path(), small_graph(), 0, o);
+        let want: Vec<Candidate> = feed(&single, &events, EVERY).concat();
         let mut got = Vec::new();
+        let mut since = 0;
         for chunk in events.chunks(33) {
             batched.on_events_into(chunk, &mut got).unwrap();
+            since += chunk.len();
+            if since >= EVERY {
+                batched.checkpoint().unwrap();
+                since = 0;
+            }
         }
         assert_eq!(got, want, "batched candidate stream diverges");
         assert_eq!(single.next_seq(), batched.next_seq());
-        single.close().unwrap();
-        batched.close().unwrap();
+        drop(single);
+        drop(batched);
 
         // Both logs recover to identical continuations.
-        let (mut rs, rep_s) = PersistentEngine::open(
-            t_single.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            o,
-        )
-        .unwrap();
-        let (mut rb, rep_b) = PersistentEngine::open(
-            t_batch.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            o,
-        )
-        .unwrap();
+        let (rs, rep_s) = open1(t_single.path(), o);
+        let (rb, rep_b) = open1(t_batch.path(), o);
         assert_eq!(rep_s.next_seq, rep_b.next_seq);
         let next = EdgeEvent::follow(u(12), u(900), ts(2_000));
         assert_eq!(rs.on_event(next).unwrap(), rb.on_event(next).unwrap());
@@ -1799,7 +1364,6 @@ mod tests {
     /// An incremental-checkpoint policy: deltas allowed, rebase after 8.
     fn inc_opts() -> PersistOptions {
         PersistOptions {
-            checkpoint_every: 0, // cadence driven explicitly by the tests
             rebase: RebasePolicy {
                 max_chain_len: 8,
                 max_delta_bytes_ratio: 0.0,
@@ -1826,26 +1390,8 @@ mod tests {
     #[test]
     fn sequential_incremental_restore_matches_full() {
         let (ti, tf) = (TempDir::new("pe-inc"), TempDir::new("pe-full"));
-        let full_opts = PersistOptions {
-            checkpoint_every: 0,
-            ..opts()
-        };
-        let mut pi = PersistentEngine::create(
-            ti.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            inc_opts(),
-        )
-        .unwrap();
-        let mut pf = PersistentEngine::create(
-            tf.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            full_opts,
-        )
-        .unwrap();
+        let pi = create1(ti.path(), small_graph(), 0, inc_opts());
+        let pf = create1(tf.path(), small_graph(), 0, opts());
         for (i, &e) in trace(300).iter().enumerate() {
             assert_eq!(pi.on_event(e).unwrap(), pf.on_event(e).unwrap());
             if i % 60 == 59 {
@@ -1865,23 +1411,11 @@ mod tests {
                 .is_empty(),
             "disabled policy must stay full-only"
         );
-        pi.close().unwrap();
-        pf.close().unwrap();
+        drop(pi);
+        drop(pf);
 
-        let (ri, _) = PersistentEngine::open(
-            ti.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            inc_opts(),
-        )
-        .unwrap();
-        let (rf, _) = PersistentEngine::open(
-            tf.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            opts(),
-        )
-        .unwrap();
+        let (ri, _) = open1(ti.path(), inc_opts());
+        let (rf, _) = open1(tf.path(), opts());
         let (mut ei, mut ef) = (Vec::new(), Vec::new());
         ri.engine().store().export_entries(&mut ei);
         rf.engine().store().export_entries(&mut ef);
@@ -1902,30 +1436,28 @@ mod tests {
             },
             ..inc_opts()
         };
-        let mut pe =
-            PersistentEngine::create(t.path(), small_graph(), 0, DetectorConfig::example(), o)
-                .unwrap();
+        let pe = create1(t.path(), small_graph(), 0, o);
         let deltas = |dir: &Path| {
             crate::checkpoint::list_delta_checkpoints(dir)
                 .unwrap()
                 .len()
         };
         let fulls = |dir: &Path| crate::checkpoint::list_checkpoints(dir).unwrap().len();
-        let feed = |pe: &mut PersistentEngine, lo: u64| {
+        let feed = |pe: &PersistentConcurrentEngine, lo: u64| {
             for i in lo..lo + 20 {
                 pe.on_event(EdgeEvent::follow(u(11), u(2_000 + i), ts(10 + i)))
                     .unwrap();
             }
         };
-        feed(&mut pe, 0);
+        feed(&pe, 0);
         pe.checkpoint().unwrap(); // no chain yet → full
         assert_eq!((fulls(t.path()), deltas(t.path())), (1, 0));
-        feed(&mut pe, 20);
+        feed(&pe, 20);
         pe.checkpoint().unwrap(); // delta 1
-        feed(&mut pe, 40);
+        feed(&pe, 40);
         pe.checkpoint().unwrap(); // delta 2 — chain now at the policy cap
         assert_eq!((fulls(t.path()), deltas(t.path())), (1, 2));
-        feed(&mut pe, 60);
+        feed(&pe, 60);
         pe.checkpoint().unwrap(); // rebase: fresh full, whole chain pruned
         assert_eq!((fulls(t.path()), deltas(t.path())), (1, 0));
         assert_eq!(pe.checkpoint_tip(), Some(pe.next_seq() - 1));
@@ -1934,18 +1466,9 @@ mod tests {
     #[test]
     fn delta_checkpoint_is_fraction_of_full_at_sparse_dirt() {
         let t = TempDir::new("pe-frac");
-        let mut pe = PersistentEngine::create(
-            t.path(),
-            small_graph(),
-            0,
-            DetectorConfig::example(),
-            inc_opts(),
-        )
-        .unwrap();
+        let pe = create1(t.path(), small_graph(), 0, inc_opts());
         // 500 resident targets, then dirty ~1% of them.
-        for &e in &wide_trace(2_000, 500) {
-            pe.on_event(e).unwrap();
-        }
+        feed(&pe, &wide_trace(2_000, 500), 0);
         pe.checkpoint().unwrap();
         let full_path = crate::checkpoint::list_checkpoints(t.path())
             .unwrap()
@@ -1968,15 +1491,9 @@ mod tests {
             delta_bytes * 10 < full_bytes,
             "1%-dirty delta must be <10% of the full: {delta_bytes} vs {full_bytes}"
         );
-        pe.close().unwrap();
+        drop(pe);
         // And the chain still restores the exact store.
-        let (re, report) = PersistentEngine::open(
-            t.path(),
-            DetectorConfig::example(),
-            CapStrategy::None,
-            inc_opts(),
-        )
-        .unwrap();
+        let (re, report) = open1(t.path(), inc_opts());
         assert_eq!(report.replayed, 0, "tip covers everything");
         let mut twin = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
         for &e in &wide_trace(2_000, 500) {

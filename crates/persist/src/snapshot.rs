@@ -25,11 +25,11 @@ type DeltaFile = (u64, u64, PathBuf);
 /// When a delta chain should be folded into a fresh base (rebase
 /// cadence). Nothing rebases while both thresholds hold; crossing either
 /// one makes [`SnapshotStore::should_rebase`] answer `true`, and
-/// `PersistentEngine::publish_graph_delta` then republishes the current
-/// graph as a base and [`SnapshotStore::compact`]s the superseded files —
-/// which is also the moment orphaned (delta-removed, edge-less) vertices
-/// leave the on-disk interner: a base is saved from its edge rows, so a
-/// reload after rebase no longer interns them.
+/// `PersistentConcurrentEngine::publish_graph_delta` then republishes
+/// the current graph as a base and [`SnapshotStore::compact`]s the
+/// superseded files — which is also the moment orphaned (delta-removed,
+/// edge-less) vertices leave the on-disk interner: a base is saved from
+/// its edge rows, so a reload after rebase no longer interns them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebasePolicy {
     /// Rebase once the chain holds this many delta links (`0` disables

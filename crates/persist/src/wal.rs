@@ -61,6 +61,11 @@ pub(crate) const HEADER_LEN: u64 = 16;
 /// bigger length field is torn/corrupt framing, not a huge record.
 pub(crate) const MAX_RECORD_LEN: u32 = 1 << 16;
 
+/// Segment-name prefix of [`SharedWal`] partition 0
+/// (`wal-p0-<20-digit first seq>.wal`). A one-partition log keeps its
+/// whole dense sequence under it — the layout replica units ship.
+pub const SINGLE_LOG_PREFIX: &str = "wal-p0-";
+
 /// When appended records are pushed to durable storage.
 ///
 /// The policy counts **durability units**, not records: one
@@ -309,7 +314,7 @@ fn scan_segment(path: &Path, mut on_record: impl FnMut(WalRecord, u64)) -> Resul
 /// Lists the segment files for `prefix` in `dir`, sorted by first
 /// sequence (encoded zero-padded in the name). The match is anchored to
 /// the exact segment-name shape — `<prefix><20 digits>.wal` — so the
-/// sequential prefix `wal-` does not swallow a `SharedWal`'s `wal-p3-`
+/// plain prefix `wal-` does not swallow a `SharedWal`'s `wal-p3-`
 /// partition files living in the same directory.
 pub(crate) fn list_segments(dir: &Path, prefix: &str) -> Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -352,7 +357,7 @@ fn existing_wal_partitions(dir: &Path) -> Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Whether `dir` holds any WAL segment files at all — sequential
+/// Whether `dir` holds any WAL segment files at all — single-[`Wal`]
 /// (`wal-…`) or partitioned (`wal-p<i>-…`). Creation paths refuse such
 /// directories before publishing anything into them.
 pub(crate) fn any_segments(dir: &Path) -> Result<bool> {
@@ -388,41 +393,6 @@ pub fn replay(
                 )));
             }
             stats.torn_tail = true;
-        }
-    }
-    Ok(stats)
-}
-
-/// [`replay`] for a **dense-sequence** WAL (the sequential engine's,
-/// where every sequence from 0 was appended to this one prefix):
-/// additionally enforces that the replayed records are exactly
-/// `min_seq, min_seq+1, …` with no holes. A hole means a lost or deleted
-/// middle segment — silently rebuilding `D` without those events would
-/// break the recovery parity contract, so it is refused as
-/// [`Error::Corrupt`]. (Reclaimed segments never create holes here: they
-/// are only deleted up to a checkpoint, i.e. strictly below `min_seq`.)
-pub fn replay_contiguous(
-    dir: &Path,
-    prefix: &str,
-    min_seq: u64,
-    mut f: impl FnMut(WalRecord),
-) -> Result<ReplayStats> {
-    let mut expected = min_seq;
-    let stats = replay(dir, prefix, min_seq, |record| {
-        // Defer the error: replay's callback is infallible, so flag via
-        // the closure and re-check after. Records are seq-sorted, so the
-        // first mismatch is the smallest hole.
-        if record.seq == expected {
-            expected += 1;
-        }
-        f(record);
-    })?;
-    if let Some(last) = stats.last_seq {
-        if last >= min_seq && expected != last + 1 {
-            return Err(Error::Corrupt(format!(
-                "wal gap: expected contiguous sequences from {min_seq}, but replay jumped \
-                 at {expected} (log ends at {last}) — a middle segment is missing"
-            )));
         }
     }
     Ok(stats)
@@ -1425,17 +1395,8 @@ impl SharedWal {
     }
 
     /// Reclaims fully-pruned, fully-checkpointed segments on every
-    /// partition. Returns segments deleted.
-    pub fn reclaim_before(&self, cutoff: Timestamp, checkpoint_seq: u64) -> Result<usize> {
-        let mut removed = 0;
-        for p in &self.parts {
-            removed += p.lock().reclaim_before(cutoff, checkpoint_seq)?;
-        }
-        Ok(removed)
-    }
-
-    /// [`SharedWal::reclaim_before`] against a per-partition fence
-    /// vector: partition `i`'s segments are covered through
+    /// partition against a per-partition fence vector (returns segments
+    /// deleted): partition `i`'s segments are covered through
     /// `fences[i] - 1`, so each partition reclaims against its *own*
     /// fence instead of one global covered sequence. A zero fence means
     /// the chain covers nothing of that partition — nothing reclaims.
@@ -1474,9 +1435,9 @@ impl SharedWal {
     /// Memory: the merge materializes every replayed record before
     /// sorting, so peak memory is O(records past the checkpoint) —
     /// bounded by the checkpoint cadence in any reclaiming deployment.
-    /// With checkpoints disabled (`checkpoint_every = 0`) it is the whole
-    /// history; a streaming k-way merge is the upgrade path if that
-    /// configuration ever needs large logs.
+    /// A log that is never checkpointed and reclaimed (a replica unit's)
+    /// replays its whole history; a streaming k-way merge is the upgrade
+    /// path if that configuration ever needs large logs.
     pub fn replay_merged(
         dir: &Path,
         parts: usize,
@@ -1760,30 +1721,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_middle_segment_is_a_gap_for_contiguous_replay() {
-        let t = TempDir::new("wal");
-        let opts = WalOptions {
-            segment_bytes: 128,
-            ..WalOptions::default()
-        };
-        let mut wal = Wal::create(t.path(), "wal-", opts).unwrap();
-        for i in 0..100 {
-            wal.append(ev(i)).unwrap();
-        }
-        wal.close().unwrap();
-        let segments = list_segments(t.path(), "wal-").unwrap();
-        assert!(segments.len() >= 3);
-        std::fs::remove_file(&segments[1]).unwrap();
-        // Plain replay (the sparse-sequence per-partition primitive)
-        // cannot see the hole…
-        assert!(replay(t.path(), "wal-", 0, |_| {}).is_ok());
-        // …but the dense-sequence recovery path refuses it.
-        let err = replay_contiguous(t.path(), "wal-", 0, |_| {}).unwrap_err();
-        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
-        assert!(err.to_string().contains("gap"), "{err}");
-    }
-
-    #[test]
     fn open_floor_prevents_sequence_regression_after_full_reclaim() {
         let t = TempDir::new("wal");
         let opts = WalOptions {
@@ -1816,6 +1753,32 @@ mod tests {
         assert_eq!(records.len(), 1);
         let wal = Wal::open_with_floor(t.path(), "wal-", opts, 7).unwrap();
         assert_eq!(wal.next_seq(), 51);
+    }
+
+    #[test]
+    fn missing_middle_segment_is_a_gap_for_contiguous_replay() {
+        // One partition is the dense single log.
+        let t = TempDir::new("wal");
+        let opts = WalOptions {
+            segment_bytes: 128,
+            ..WalOptions::default()
+        };
+        let mut wal = Wal::create(t.path(), SINGLE_LOG_PREFIX, opts).unwrap();
+        for i in 0..100 {
+            wal.append(ev(i)).unwrap();
+        }
+        wal.close().unwrap();
+        let segments = list_segments(t.path(), SINGLE_LOG_PREFIX).unwrap();
+        assert!(segments.len() >= 3);
+        std::fs::remove_file(&segments[1]).unwrap();
+        // Plain replay (the sparse-sequence per-partition primitive)
+        // cannot see the hole…
+        assert!(replay(t.path(), SINGLE_LOG_PREFIX, 0, |_| {}).is_ok());
+        // …but the merged view of a one-partition log refuses it.
+        let err = SharedWal::replay_merged(t.path(), 1, 0, |_| {}).unwrap_err();
+        assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+        assert!(err.to_string().contains("gap"), "{err}");
+        assert_eq!(SharedWal::prefix(0), SINGLE_LOG_PREFIX);
     }
 
     #[test]

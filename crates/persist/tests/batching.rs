@@ -10,14 +10,15 @@
 //! * `SharedWal::append_batch` preserves each partition's event stream
 //!   exactly (global sequence runs may differ — replay orders by
 //!   sequence, and per-target order is the semantic contract).
-//! * `PersistentEngine::on_events` emits the single-path candidate
-//!   stream and recovers to the same continuation, including batches
-//!   that straddle segment rolls and the checkpoint cadence.
+//! * `PersistentConcurrentEngine::on_events` on one WAL partition emits
+//!   the single-path candidate stream and recovers to the same
+//!   continuation, including batches that straddle segment rolls and the
+//!   checkpoint cadence.
 
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_persist::wal::replay;
 use magicrecs_persist::{
-    FsyncPolicy, PersistOptions, PersistentEngine, RebasePolicy, SharedWal, TempDir, Wal,
+    FsyncPolicy, PersistOptions, PersistentConcurrentEngine, RebasePolicy, SharedWal, TempDir, Wal,
     WalOptions,
 };
 use magicrecs_types::{DetectorConfig, EdgeEvent, Timestamp, UserId};
@@ -192,35 +193,50 @@ proptest! {
         let o = PersistOptions {
             fsync: FsyncPolicy::Never,
             segment_bytes: 1 << 10, // batches straddle rolls
-            checkpoint_every,      // and the checkpoint cadence
             rebase: RebasePolicy::DISABLED,
         };
+        // And the checkpoint cadence: a batch that crosses it checkpoints
+        // at its end.
+        let every = checkpoint_every as usize;
 
         let t_single = TempDir::new("pe-prop-s");
         let t_batch = TempDir::new("pe-prop-b");
-        let mut single =
-            PersistentEngine::create(t_single.path(), small_graph(), 0, cfg, o).unwrap();
-        let mut batched =
-            PersistentEngine::create(t_batch.path(), small_graph(), 0, cfg, o).unwrap();
+        let single =
+            PersistentConcurrentEngine::create(t_single.path(), small_graph(), 0, cfg, 1, o)
+                .unwrap();
+        let batched =
+            PersistentConcurrentEngine::create(t_batch.path(), small_graph(), 0, cfg, 1, o)
+                .unwrap();
 
         let mut want = Vec::new();
-        for &e in &events {
+        for (i, &e) in events.iter().enumerate() {
             want.extend(single.on_event(e).unwrap());
+            if (i + 1) % every == 0 {
+                single.checkpoint().unwrap();
+            }
         }
         let mut got = Vec::new();
+        let mut since = 0;
         apply_in_chunks(&events, &splits, |chunk| {
             batched.on_events_into(chunk, &mut got).unwrap();
+            since += chunk.len();
+            if since >= every {
+                batched.checkpoint().unwrap();
+                since = 0;
+            }
         });
         prop_assert_eq!(got, want, "candidate stream diverged");
         prop_assert_eq!(single.next_seq(), batched.next_seq());
-        single.close().unwrap();
-        batched.close().unwrap();
+        drop(single);
+        drop(batched);
 
         // Both directories recover to the same continuation.
-        let (mut rs, _) =
-            PersistentEngine::open(t_single.path(), cfg, CapStrategy::None, o).unwrap();
-        let (mut rb, rep) =
-            PersistentEngine::open(t_batch.path(), cfg, CapStrategy::None, o).unwrap();
+        let (rs, _) =
+            PersistentConcurrentEngine::open(t_single.path(), cfg, CapStrategy::None, 1, o)
+                .unwrap();
+        let (rb, rep) =
+            PersistentConcurrentEngine::open(t_batch.path(), cfg, CapStrategy::None, 1, o)
+                .unwrap();
         prop_assert_eq!(rep.next_seq, events.len() as u64);
         for i in 0..3u64 {
             let probe = EdgeEvent::follow(u(25 + i), u(40 + i), Timestamp::from_secs(600 + i));

@@ -1,5 +1,6 @@
 //! Fault-plan property tests: for **any** seed-keyed fault plan injected
-//! into the persistent engine's I/O backend, at any arming point, under
+//! into the persistent engine's I/O backend (one WAL partition), at any
+//! arming point, under
 //! any fsync policy and ingest batch size:
 //!
 //! * a fault surfaces as a **typed** error (`Io`/`Corrupt`/`Invariant`)
@@ -19,7 +20,8 @@
 use magicrecs_core::Engine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_persist::{
-    FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentEngine, RebasePolicy, TempDir,
+    FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentConcurrentEngine, RebasePolicy,
+    TempDir,
 };
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Timestamp, UserId};
 use proptest::prelude::*;
@@ -89,9 +91,11 @@ proptest! {
                 FsyncPolicy::EveryN(fsync_every)
             },
             segment_bytes: 4 << 10,
-            checkpoint_every: 32,
             rebase: RebasePolicy::DISABLED,
         };
+        // Checkpoint cadence, in events: a batch that crosses it
+        // checkpoints at its end, and a failed cut fails that batch.
+        const EVERY: usize = 32;
 
         // Fault-free twin: per-event candidates.
         let mut twin = Engine::new(motif_graph(), cfg).unwrap();
@@ -103,11 +107,12 @@ proptest! {
         let plan = FaultPlan::from_seed(plan_seed, n / 2);
         let fv = FaultVfs::new_disarmed(plan);
         let dir = TempDir::new("faults-prop");
-        let mut engine = PersistentEngine::create_with_vfs(
+        let engine = PersistentConcurrentEngine::create_with_vfs(
             dir.path(),
             motif_graph(),
             0,
             cfg,
+            1,
             opts,
             Arc::new(fv.clone()),
         )
@@ -115,12 +120,21 @@ proptest! {
 
         let mut pre: Vec<Candidate> = Vec::new();
         let mut acked = 0usize;
+        let mut since = 0usize;
         let mut fault_error: Option<Error> = None;
         for chunk in events.chunks(batch) {
             if acked >= arm_at {
                 fv.set_armed(true);
             }
-            match engine.on_events(chunk) {
+            let ingested = engine.on_events(chunk).and_then(|out| {
+                since += chunk.len();
+                if since >= EVERY {
+                    engine.checkpoint()?;
+                    since = 0;
+                }
+                Ok(out)
+            });
+            match ingested {
                 Ok(out) => {
                     pre.extend(out);
                     acked += chunk.len();
@@ -149,8 +163,8 @@ proptest! {
 
         // Crash (ungraceful drop), then recover on a CLEAN backend.
         drop(engine);
-        let (mut recovered, report) =
-            PersistentEngine::open(dir.path(), cfg, CapStrategy::None, opts).unwrap();
+        let (recovered, report) =
+            PersistentConcurrentEngine::open(dir.path(), cfg, CapStrategy::None, 1, opts).unwrap();
 
         // No silent loss: everything acknowledged is covered by replay.
         prop_assert!(
@@ -194,16 +208,17 @@ proptest! {
         let opts = PersistOptions {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 10,
-            checkpoint_every: 0, // isolate the WAL path from checkpoints
             rebase: RebasePolicy::DISABLED,
         };
+        // No checkpoints: isolate the WAL path.
         let fv = FaultVfs::new_disarmed(FaultPlan::fail_nth_sync(sync_nth));
         let dir = TempDir::new("faults-poison");
-        let mut engine = PersistentEngine::create_with_vfs(
+        let engine = PersistentConcurrentEngine::create_with_vfs(
             dir.path(),
             motif_graph(),
             0,
             cfg,
+            1,
             opts,
             Arc::new(fv.clone()),
         )
@@ -229,7 +244,7 @@ proptest! {
         // And clean recovery still lands on a consistent prefix.
         drop(engine);
         let (_, report) =
-            PersistentEngine::open(dir.path(), cfg, CapStrategy::None, opts).unwrap();
+            PersistentConcurrentEngine::open(dir.path(), cfg, CapStrategy::None, 1, opts).unwrap();
         prop_assert!(report.next_seq >= failed_at as u64);
     }
 }

@@ -1,8 +1,9 @@
 //! Crash-recovery kill-point matrix: truncate the WAL at **every** record
 //! boundary of a long replay, recover, and assert candidate-stream parity
-//! with an uninterrupted run — for both the sequential [`Engine`] path
-//! ([`PersistentEngine`]) and the shared-state [`ConcurrentEngine`] path
-//! ([`PersistentConcurrentEngine`], per-partition WALs).
+//! with an uninterrupted run of the sequential reference [`Engine`] /
+//! [`ConcurrentEngine`] — for [`PersistentConcurrentEngine`] on one WAL
+//! partition (the dense single log replica units run) and on several
+//! (per-partition WALs).
 //!
 //! Parity argument: recovery at boundary `k` must be semantically
 //! identical to an uninterrupted engine that has processed exactly `k`
@@ -11,7 +12,7 @@
 //! output byte for byte — any state divergence the next event can see is
 //! caught at the boundary that introduces it), and additionally feeds the
 //! **entire remaining suffix** at sampled boundaries. Checkpoints every
-//! 512 events bound each recovery's replay, which keeps the full matrix
+//! 512 events ([`CKPT_EVERY`]) bound each recovery's replay, which keeps the full matrix
 //! O(boundaries × checkpoint cadence) instead of O(boundaries × history).
 //!
 //! Crash modelling: a prefix of the log survives; the boundary cut is
@@ -27,7 +28,7 @@ use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_persist::wal::record_boundaries;
 use magicrecs_persist::{
     FaultMode, FaultOp, FaultPlan, FaultSpec, FaultVfs, FsyncPolicy, PersistOptions,
-    PersistentConcurrentEngine, PersistentEngine, RecordBoundary, SharedWal, TempDir,
+    PersistentConcurrentEngine, RecordBoundary, SharedWal, TempDir,
 };
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Timestamp, UserId};
 use std::fs::OpenOptions;
@@ -87,11 +88,13 @@ fn config() -> DetectorConfig {
     }
 }
 
+/// Events between the matrix runs' checkpoints.
+const CKPT_EVERY: usize = 512;
+
 fn opts() -> PersistOptions {
     PersistOptions {
         fsync: FsyncPolicy::Never, // crash = truncation; sync irrelevant
         segment_bytes: 16 << 10,
-        checkpoint_every: 512,
         rebase: magicrecs_persist::RebasePolicy::DISABLED,
     }
 }
@@ -197,7 +200,8 @@ fn archive_checkpoint(
     archive.sort_by_key(|&(c, _)| c);
 }
 
-/// The sequential kill-point matrix: every boundary, next-event parity;
+/// The single-log kill-point matrix (one WAL partition, against the
+/// sequential reference engine): every boundary, next-event parity;
 /// sampled boundaries, full-suffix parity.
 #[test]
 fn kill_point_matrix_sequential() {
@@ -219,24 +223,21 @@ fn kill_point_matrix_sequential() {
     // exists — `write_checkpoint` prunes superseded files, but the
     // matrix must reconstruct the exact on-disk state at every k.
     let live = TempDir::new("kp-seq");
-    let manual = PersistOptions {
-        checkpoint_every: 0,
-        ..opts()
-    };
     let archive_dir = TempDir::new("kp-seq-ckpts");
     let mut archive: Vec<(u64, std::path::PathBuf)> = Vec::new();
-    let mut pe = PersistentEngine::create(live.path(), motif_graph(), 0, cfg, manual).unwrap();
+    let pe =
+        PersistentConcurrentEngine::create(live.path(), motif_graph(), 0, cfg, 1, opts()).unwrap();
     for (i, &e) in events.iter().enumerate() {
         let got = pe.on_event(e).unwrap();
         assert_eq!(got, per_event[i], "pre-crash divergence at event {i}");
-        if (i + 1) % opts().checkpoint_every as usize == 0 {
+        if (i + 1) % CKPT_EVERY == 0 {
             pe.checkpoint().unwrap();
             archive_checkpoint(live.path(), archive_dir.path(), &mut archive);
         }
     }
-    pe.close().unwrap();
+    drop(pe);
 
-    let boundaries = record_boundaries(live.path(), "wal-").unwrap();
+    let boundaries = SharedWal::record_boundaries(live.path(), 1).unwrap();
     assert_eq!(boundaries.len(), n, "every event logs one record");
 
     let scratch = TempDir::new("kp-seq-scratch");
@@ -252,13 +253,14 @@ fn kill_point_matrix_sequential() {
         };
         crash_at(scratch.path(), &boundaries, k, tear, &archive);
 
-        let (mut recovered, report) =
-            PersistentEngine::open(scratch.path(), cfg, CapStrategy::None, manual).unwrap();
+        let (recovered, report) =
+            PersistentConcurrentEngine::open(scratch.path(), cfg, CapStrategy::None, 1, opts())
+                .unwrap();
         assert_eq!(report.next_seq, k as u64, "k={k}: wrong resume point");
         let expect_replay = k as u64 - report.checkpoint_seq.map_or(0, |c| c + 1);
         assert_eq!(report.replayed, expect_replay, "k={k}: {report:?}");
         assert!(
-            report.replayed <= opts().checkpoint_every,
+            report.replayed <= CKPT_EVERY as u64,
             "k={k}: checkpoint failed to bound replay"
         );
 
@@ -302,13 +304,10 @@ fn kill_point_slice_batched_group_commit() {
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
 
     let live = TempDir::new("kp-gc");
-    let manual = PersistOptions {
-        checkpoint_every: 0,
-        ..opts()
-    };
     let archive_dir = TempDir::new("kp-gc-ckpts");
     let mut archive: Vec<(u64, std::path::PathBuf)> = Vec::new();
-    let mut pe = PersistentEngine::create(live.path(), motif_graph(), 0, cfg, manual).unwrap();
+    let pe =
+        PersistentConcurrentEngine::create(live.path(), motif_graph(), 0, cfg, 1, opts()).unwrap();
     let mut out = Vec::new();
     let mut done = 0usize;
     for chunk in events.chunks(BATCH) {
@@ -321,16 +320,16 @@ fn kill_point_slice_batched_group_commit() {
         assert_eq!(out, want, "pre-crash batch divergence at event {done}");
         done += chunk.len();
         // Manual cadence at chunk granularity, archived like the matrix.
-        if done % (opts().checkpoint_every as usize) < BATCH {
+        if done % CKPT_EVERY < BATCH {
             pe.checkpoint().unwrap();
             archive_checkpoint(live.path(), archive_dir.path(), &mut archive);
         }
     }
-    pe.close().unwrap();
+    drop(pe);
 
     // Group commit is byte-compatible with single appends, so the
     // boundary scan sees one record per event, exactly like the matrix.
-    let boundaries = record_boundaries(live.path(), "wal-").unwrap();
+    let boundaries = SharedWal::record_boundaries(live.path(), 1).unwrap();
     assert_eq!(boundaries.len(), n);
 
     let scratch = TempDir::new("kp-gc-scratch");
@@ -345,8 +344,9 @@ fn kill_point_slice_batched_group_commit() {
         };
         crash_at(scratch.path(), &boundaries, k, tear, &archive);
 
-        let (mut recovered, report) =
-            PersistentEngine::open(scratch.path(), cfg, CapStrategy::None, manual).unwrap();
+        let (recovered, report) =
+            PersistentConcurrentEngine::open(scratch.path(), cfg, CapStrategy::None, 1, opts())
+                .unwrap();
         assert_eq!(report.next_seq, k as u64, "k={k}: wrong resume point");
 
         if k < n {
@@ -390,7 +390,7 @@ fn kill_point_matrix_concurrent() {
     for (i, &e) in events.iter().enumerate() {
         let got = pe.on_event(e).unwrap();
         assert_eq!(got, per_event[i], "pre-crash divergence at event {i}");
-        if (i + 1) % opts().checkpoint_every as usize == 0 {
+        if (i + 1) % CKPT_EVERY == 0 {
             pe.checkpoint().unwrap();
             archive_checkpoint(live.path(), archive_dir.path(), &mut archive);
         }
@@ -416,7 +416,7 @@ fn kill_point_matrix_concurrent() {
                 .unwrap();
         assert_eq!(report.next_seq, k as u64, "k={k}");
         assert!(
-            report.replayed <= opts().checkpoint_every,
+            report.replayed <= CKPT_EVERY as u64,
             "k={k}: checkpoint failed to bound replay ({report:?})"
         );
 
@@ -515,6 +515,19 @@ fn concurrent_recovery_with_uneven_partition_loss() {
         .unwrap();
 }
 
+/// Options for the injected-fault kill points. EveryN(4) puts an
+/// interior policy sync *inside* every batch of 10: each group commit
+/// lands as chunks of 4/4/2, so both a failed interior sync and a torn
+/// second-chunk write hit AFTER a prefix of the call has landed — the
+/// poison-after-landed-prefix shape.
+fn fault_opts() -> PersistOptions {
+    PersistOptions {
+        fsync: FsyncPolicy::EveryN(4),
+        segment_bytes: 16 << 10,
+        rebase: magicrecs_persist::RebasePolicy::DISABLED,
+    }
+}
+
 /// Shared driver for the injected-fault kill points below: feeds the
 /// matrix trace in group-committed batches of 10 through a
 /// [`FaultVfs`], arms `plan` after `arm_after` events, and returns
@@ -529,23 +542,15 @@ fn drive_until_injected_fault(
     per_event: &[Vec<Candidate>],
 ) -> (usize, Vec<Candidate>, FaultVfs) {
     const BATCH: usize = 10;
-    // EveryN(4) puts an interior policy sync *inside* every batch: each
-    // group commit lands as chunks of 4/4/2, so both a failed interior
-    // sync and a torn second-chunk write hit AFTER a prefix of the call
-    // has landed — the poison-after-landed-prefix shape.
-    let opts = PersistOptions {
-        fsync: FsyncPolicy::EveryN(4),
-        segment_bytes: 16 << 10,
-        checkpoint_every: 0, // isolate the WAL path from checkpoint I/O
-        rebase: magicrecs_persist::RebasePolicy::DISABLED,
-    };
+    // No checkpoints: isolate the WAL path from checkpoint I/O.
     let fv = FaultVfs::new_disarmed(plan);
-    let mut engine = PersistentEngine::create_with_vfs(
+    let engine = PersistentConcurrentEngine::create_with_vfs(
         dir,
         motif_graph(),
         0,
         config(),
-        opts,
+        1,
+        fault_opts(),
         Arc::new(fv.clone()),
     )
     .unwrap();
@@ -605,14 +610,9 @@ fn assert_recovery_parity(
     expect_landed_prefix: u64,
     expect_torn_tail: bool,
 ) {
-    let opts = PersistOptions {
-        fsync: FsyncPolicy::EveryN(4),
-        segment_bytes: 16 << 10,
-        checkpoint_every: 0,
-        rebase: magicrecs_persist::RebasePolicy::DISABLED,
-    };
-    let (mut recovered, report) =
-        PersistentEngine::open(dir, config(), CapStrategy::None, opts).unwrap();
+    let (recovered, report) =
+        PersistentConcurrentEngine::open(dir, config(), CapStrategy::None, 1, fault_opts())
+            .unwrap();
     assert_eq!(
         report.next_seq,
         acked as u64 + expect_landed_prefix,
@@ -706,7 +706,6 @@ fn kill_point_torn_write_poisons_after_landed_prefix() {
 /// An incremental-checkpoint policy for the live-checkpoint kill points.
 fn inc_opts() -> PersistOptions {
     PersistOptions {
-        checkpoint_every: 0,
         rebase: magicrecs_persist::RebasePolicy {
             max_chain_len: 8,
             max_delta_bytes_ratio: 0.0,

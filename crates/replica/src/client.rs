@@ -6,7 +6,7 @@
 //! * a [`SeqLedger`] assigning dense per-partition sequence numbers —
 //!   the batch tag *is* the first event's sequence, which *is* the
 //!   WAL sequence the leader will assign, so a re-sent batch is
-//!   deduplicated exactly by the replica's `next_seq` comparison;
+//!   deduplicated exactly against the replica's durable watermark;
 //! * the durable watermark from the last `IngestAck` (batches below it
 //!   are not re-sent on the happy path);
 //! * the ledger's release point: the **replicated** watermark. A batch

@@ -21,8 +21,10 @@
 //! ```
 //!
 //! Each node ([`Node`]) hosts one **unit** per partition it replicates:
-//! a `PersistentEngine` (WAL + incremental checkpoints + live detector)
-//! fenced by an `EpochGate`. Followers tail the leader's `MGWL`
+//! a `PersistentConcurrentEngine` on one WAL partition (WAL +
+//! incremental checkpoints + live detector — the engine and durability
+//! path the single-node server runs) fenced by an `EpochGate`.
+//! Followers tail the leader's `MGWL`
 //! segments (`SegmentsReq`/`SegmentFetch`), re-validate every CRC and
 //! sequence through `ShipDecoder`, and append through their *own*
 //! engine — so a follower is always exactly "the leader at sequence
@@ -35,12 +37,15 @@
 //! (the `SeqLedger`); the batch tag is the first event's sequence, and
 //! the leader's WAL assigns those exact sequences on append. Re-sending
 //! a batch is therefore idempotent: the leader compares the tag to its
-//! `next_seq`, skips the already-held prefix, and refuses genuine gaps.
+//! durable watermark, skips the already-held prefix, and refuses
+//! genuine gaps.
 //!
 //! Watermarks (all *next-sequence* values):
 //!
 //! * **durable** — everything below is fsynced in the local WAL
-//!   (`FsyncPolicy::Always`, so apply ⇒ durable);
+//!   (`FsyncPolicy::Always`, so apply ⇒ durable). It advances only after
+//!   a successful append: a failed one leaves it, and the failed batch
+//!   is never acked;
 //! * **replicated** — everything below is durable *on a follower*
 //!   (learned from the follower's own `SegmentsReq{from_seq}` floor);
 //! * **acked** — the client saw `IngestAck{durable ≥ batch end}`.

@@ -1,13 +1,17 @@
 //! The replica node runtime: a blocking, thread-per-connection server
 //! hosting one **partition unit** per partition this node replicates.
 //!
-//! A unit is a [`PersistentEngine`] (WAL + incremental checkpoints +
-//! detector state) fenced by an [`EpochGate`]. The same unit serves in
-//! both roles:
+//! A unit is a [`PersistentConcurrentEngine`] on one WAL partition —
+//! the same engine and durability path the single-node server runs —
+//! fenced by an [`EpochGate`]. Its durable watermark (`Unit::durable`)
+//! is the one sequence every decision reads: ingest dedup, the
+//! `IngestAck`, the role-change fence, the follower's tail cursor and
+//! `StatusResp`. It advances only after an append succeeded. The same
+//! unit serves in both roles:
 //!
 //! * **leading** — `RouteBind`/`Ingest` are admitted through the gate,
-//!   applied with group commit (`FsyncPolicy::Always`, so the durable
-//!   watermark *is* `next_seq`), candidates delivered to subscribed
+//!   applied with group commit (`FsyncPolicy::Always`, so a successful
+//!   append is durable), candidates delivered to subscribed
 //!   connections, and acknowledged with `IngestAck{durable, replicated}`;
 //! * **following** — the gate refuses writes with a typed
 //!   `WrongLeader`, while a tail thread (see [`crate::tail`]) ships the
@@ -22,8 +26,9 @@
 //! "Acked" means the client saw `IngestAck` — so a batch admitted
 //! before a demotion must either complete *and be counted in the fence
 //! the coordinator waits on*, or be refused. The ingest path therefore
-//! re-checks the gate **inside** the engine lock, and `RoleChange
-//! {leader: false}` takes the engine lock *before* flipping the gate:
+//! re-checks the gate, dedups and appends as one step **inside** the
+//! unit's engine lock, and `RoleChange{leader: false}` takes that lock
+//! *before* flipping the gate:
 //! any in-flight batch finishes first (and is covered by the returned
 //! fence), and any batch still waiting on the lock re-checks the gate
 //! and is refused. Nothing is ever acked above the fence.
@@ -39,7 +44,7 @@
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -50,17 +55,20 @@ use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, FollowGraph};
 use magicrecs_obs::recorder;
 use magicrecs_obs::TraceKind;
-use magicrecs_persist::{segment_catalog, FsyncPolicy, PersistOptions, PersistentEngine};
+use magicrecs_persist::{segment_catalog, FsyncPolicy, PersistOptions, PersistentConcurrentEngine};
 use magicrecs_server::wire::{decode, encode, Frame, ReplStatus, WireErrorCode, MAX_CHUNK_LEN};
-use magicrecs_types::{DetectorConfig, Error, Result};
+use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Result};
 
 use crate::config::ClusterMap;
 use crate::metrics::{replica_metrics, ReplicaMetrics};
 use crate::tail::{start_tail, TailHandle};
 
-/// On-disk WAL segment prefix — the MGWL naming contract
-/// (`wal-<20-digit first seq>.wal`) shared with `magicrecs-persist`.
-pub const WAL_PREFIX: &str = "wal-";
+/// On-disk segment prefix of a unit's WAL — the one-partition log's.
+pub use magicrecs_persist::wal::SINGLE_LOG_PREFIX as WAL_PREFIX;
+
+/// WAL partitions per unit: one dense log, whose sequences are exactly
+/// the client's batch tags.
+const UNIT_WAL_PARTS: usize = 1;
 
 /// Everything a node process needs to come up.
 #[derive(Debug, Clone)]
@@ -75,8 +83,6 @@ pub struct NodeConfig {
     pub detector: DetectorConfig,
     /// WAL segment size. Small segments make shipping granular.
     pub segment_bytes: u64,
-    /// Auto-checkpoint cadence in events (0 = only on `CheckpointReq`).
-    pub checkpoint_every: u64,
     /// Follower tail poll interval when caught up.
     pub poll_interval: Duration,
     /// Spawn tail threads at start for partitions the map says this
@@ -85,8 +91,8 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Sensible defaults for loopback clusters: 64 KiB segments,
-    /// manual checkpoints, 2 ms tail poll, auto-follow on.
+    /// Sensible defaults for loopback clusters: 64 KiB segments, 2 ms
+    /// tail poll, auto-follow on. Checkpoints land on `CheckpointReq`.
     pub fn new(node_id: u32, map: ClusterMap, data_dir: PathBuf) -> NodeConfig {
         NodeConfig {
             node_id,
@@ -94,21 +100,33 @@ impl NodeConfig {
             data_dir,
             detector: DetectorConfig::default(),
             segment_bytes: 64 << 10,
-            checkpoint_every: 0,
             poll_interval: Duration::from_millis(2),
             auto_follow: true,
         }
     }
 
-    pub(crate) fn persist_opts(&self) -> PersistOptions {
+    fn persist_opts(&self) -> PersistOptions {
         PersistOptions {
-            // Always-fsync makes `next_seq` the durable watermark, which
-            // is the promotion contract ("promote at its durable seq").
+            // Always-fsync makes every successful append durable, so the
+            // unit's watermark is the promotion contract ("promote at its
+            // durable seq").
             fsync: FsyncPolicy::Always,
             segment_bytes: self.segment_bytes,
-            checkpoint_every: self.checkpoint_every,
             ..PersistOptions::default()
         }
+    }
+
+    /// Recovers the unit directory `dir` (crash recovery, or the state a
+    /// rebalance bootstrap shipped in).
+    pub(crate) fn open_engine(&self, dir: &Path) -> Result<PersistentConcurrentEngine> {
+        let (engine, _report) = PersistentConcurrentEngine::open(
+            dir,
+            self.detector,
+            CapStrategy::None,
+            UNIT_WAL_PARTS,
+            self.persist_opts(),
+        )?;
+        Ok(engine)
     }
 }
 
@@ -129,8 +147,10 @@ pub(crate) struct Unit {
     pub(crate) partition: u32,
     pub(crate) dir: PathBuf,
     pub(crate) gate: EpochGate,
-    pub(crate) engine: Mutex<PersistentEngine>,
-    /// Mirror of `engine.next_seq()`, readable without the lock.
+    pub(crate) engine: Mutex<PersistentConcurrentEngine>,
+    /// The durable watermark: every sequence below it was appended and
+    /// fsynced. Written only under the engine lock, after a successful
+    /// append; readable without it.
     pub(crate) durable: AtomicU64,
     /// Highest `from_seq` any follower has reported via `SegmentsReq` —
     /// the leader's view of the replicated watermark.
@@ -139,7 +159,70 @@ pub(crate) struct Unit {
 }
 
 impl Unit {
-    fn status(&self, _node: u32) -> ReplStatus {
+    /// A unit over `engine`, its durable watermark at the engine's
+    /// recovered tail.
+    pub(crate) fn new(
+        partition: u32,
+        dir: PathBuf,
+        engine: PersistentConcurrentEngine,
+        leading: bool,
+        hint: u32,
+    ) -> Unit {
+        let durable = engine.next_seq();
+        Unit {
+            partition,
+            dir,
+            gate: EpochGate::new(partition, 0, leading, hint),
+            engine: Mutex::new(engine),
+            durable: AtomicU64::new(durable),
+            replicated: AtomicU64::new(0),
+            tail: Mutex::new(None),
+        }
+    }
+
+    /// The leader's ingest step for a batch whose first event carries
+    /// sequence `tag`, atomic under the engine lock: re-check the gate
+    /// (the demote fence), skip the prefix already below `durable`,
+    /// append the rest, and advance `durable` only once that append
+    /// succeeded. Returns the watermark to acknowledge. A gate refusal
+    /// is `Error::WrongLeader`, a batch starting above the watermark is
+    /// `Error::ReplicaGap`, and a failed append is its own error with
+    /// the watermark unchanged — so a resend of that batch is appended
+    /// again (and refused by a poisoned WAL), never acked as held.
+    pub(crate) fn ingest(
+        &self,
+        epoch: u64,
+        tag: u64,
+        events: &[EdgeEvent],
+        out: &mut Vec<Candidate>,
+        metrics: &ReplicaMetrics,
+    ) -> Result<u64> {
+        let engine = self.engine.lock().unwrap();
+        self.gate.admit(epoch)?;
+        let durable = self.durable.load(Ordering::Acquire);
+        if tag > durable {
+            return Err(Error::ReplicaGap {
+                partition: self.partition,
+                expected: durable,
+                got: tag,
+            });
+        }
+        let skip = (durable - tag) as usize;
+        if skip >= events.len() {
+            // Whole batch already held (idempotent re-send).
+            if !events.is_empty() {
+                metrics.dup_batches.incr();
+            }
+            return Ok(durable);
+        }
+        engine.on_events_into(&events[skip..], out)?;
+        let durable = tag + events.len() as u64;
+        self.durable.store(durable, Ordering::Release);
+        metrics.ingest_batches.incr();
+        Ok(durable)
+    }
+
+    fn status(&self) -> ReplStatus {
         let (epoch, leading, _hint) = self.gate.current();
         let durable = self.durable.load(Ordering::Acquire);
         ReplStatus {
@@ -283,31 +366,23 @@ fn open_unit(cfg: &NodeConfig, partition: u32, graph: FollowGraph) -> Result<Uni
         .next()
         .is_some();
     let engine = if has_state {
-        let (pe, _report) = PersistentEngine::open(
-            &dir,
-            cfg.detector,
-            CapStrategy::None,
-            cfg.persist_opts(),
-        )?;
-        pe
+        cfg.open_engine(&dir)?
     } else {
-        PersistentEngine::create(&dir, graph, 0, cfg.detector, cfg.persist_opts())?
+        PersistentConcurrentEngine::create(
+            &dir,
+            graph,
+            0,
+            cfg.detector,
+            UNIT_WAL_PARTS,
+            cfg.persist_opts(),
+        )?
     };
     let spec = cfg
         .map
         .partition(partition)
         .ok_or(Error::UnknownPartition(partition))?;
     let leading = spec.leader == cfg.node_id;
-    let durable = engine.next_seq();
-    Ok(Unit {
-        partition,
-        dir,
-        gate: EpochGate::new(partition, 0, leading, spec.leader),
-        engine: Mutex::new(engine),
-        durable: AtomicU64::new(durable),
-        replicated: AtomicU64::new(0),
-        tail: Mutex::new(None),
-    })
+    Ok(Unit::new(partition, dir, engine, leading, spec.leader))
 }
 
 fn get_unit(inner: &Arc<NodeInner>, partition: u32) -> Option<Arc<Unit>> {
@@ -458,18 +533,14 @@ fn handle_frame(
                 )?;
                 return Ok(false);
             };
-            let mut engine = unit.engine.lock().unwrap();
-            // The fence: demotion flips the gate while holding this
-            // lock, so re-checking here guarantees nothing is acked
-            // above the fence the coordinator was handed.
-            match unit.gate.admit(epoch) {
-                Ok(_) => {}
+            let mut candidates = Vec::new();
+            let durable = match unit.ingest(epoch, tag, &events, &mut candidates, &inner.metrics) {
+                Ok(durable) => durable,
                 Err(Error::WrongLeader {
                     partition,
                     epoch,
                     hint,
                 }) => {
-                    drop(engine);
                     state.bound = None;
                     inner.metrics.refused_writes.incr();
                     send(
@@ -482,32 +553,16 @@ fn handle_frame(
                     )?;
                     return Ok(true);
                 }
-                Err(e) => return Err(e),
-            }
-            let next = engine.next_seq();
-            if tag > next {
-                drop(engine);
-                reply_err(
-                    stream,
-                    WireErrorCode::Internal,
-                    format!("ingest gap: batch tag {tag} but next seq is {next}"),
-                )?;
-                return Ok(true);
-            }
-            let skip = (next - tag) as usize;
-            let mut candidates = Vec::new();
-            if skip >= events.len() {
-                // Whole batch already held (idempotent re-send).
-                if !events.is_empty() {
-                    inner.metrics.dup_batches.incr();
+                Err(Error::ReplicaGap { expected, got, .. }) => {
+                    reply_err(
+                        stream,
+                        WireErrorCode::Internal,
+                        format!("ingest gap: batch tag {got} but next seq is {expected}"),
+                    )?;
+                    return Ok(true);
                 }
-            } else {
-                engine.on_events_into(&events[skip..], &mut candidates)?;
-                unit.durable.store(engine.next_seq(), Ordering::Release);
-                inner.metrics.ingest_batches.incr();
-            }
-            let durable = engine.next_seq();
-            drop(engine);
+                Err(e) => return Err(e),
+            };
             if state.subscribed && !candidates.is_empty() {
                 send(stream, &Frame::Deliver { tag, candidates })?;
             }
@@ -684,7 +739,7 @@ fn handle_frame(
             }
         }
         Frame::StatusReq { partition } => match get_unit(inner, partition) {
-            Some(unit) => send(stream, &Frame::StatusResp(unit.status(inner.cfg.node_id)))?,
+            Some(unit) => send(stream, &Frame::StatusResp(unit.status()))?,
             None => reply_err(
                 stream,
                 WireErrorCode::Unsupported,
@@ -720,8 +775,7 @@ fn promote(inner: &Arc<NodeInner>, unit: &Arc<Unit>, epoch: u64, hint: u32) -> R
         handle.stop();
     }
     let engine = unit.engine.lock().unwrap();
-    let durable = engine.next_seq();
-    unit.durable.store(durable, Ordering::Release);
+    let durable = unit.durable.load(Ordering::Acquire);
     unit.gate.set_role(epoch, true, hint);
     drop(engine);
     inner.metrics.promotions.incr();
@@ -743,8 +797,7 @@ fn promote(inner: &Arc<NodeInner>, unit: &Arc<Unit>, epoch: u64, hint: u32) -> R
 fn demote(inner: &Arc<NodeInner>, unit: &Arc<Unit>, epoch: u64, hint: u32) -> u64 {
     let engine = unit.engine.lock().unwrap();
     unit.gate.set_role(epoch, false, hint);
-    let durable = engine.next_seq();
-    unit.durable.store(durable, Ordering::Release);
+    let durable = unit.durable.load(Ordering::Acquire);
     drop(engine);
     inner.metrics.demotions.incr();
     durable
@@ -794,6 +847,96 @@ fn read_slice(path: &std::path::Path, offset: u64, max_len: u32) -> Result<Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magicrecs_graph::GraphBuilder;
+    use magicrecs_persist::{FaultPlan, FaultVfs, TempDir};
+    use magicrecs_types::{Timestamp, UserId};
+
+    /// A leading partition-0 unit at epoch 0 whose engine writes through
+    /// `vfs`, with the node's own persistence options.
+    fn unit_on(dir: &Path, vfs: &FaultVfs) -> Unit {
+        let mut g = GraphBuilder::new();
+        g.extend([(UserId(1), UserId(11)), (UserId(2), UserId(11))]);
+        let map = ClusterMap {
+            nodes: Vec::new(),
+            partitions: Vec::new(),
+            users: 0,
+            seed: 0,
+        };
+        let cfg = NodeConfig::new(0, map, dir.to_path_buf());
+        let engine = PersistentConcurrentEngine::create_with_vfs(
+            dir,
+            g.build(),
+            0,
+            cfg.detector,
+            UNIT_WAL_PARTS,
+            cfg.persist_opts(),
+            Arc::new(vfs.clone()),
+        )
+        .unwrap();
+        Unit::new(0, dir.to_path_buf(), engine, true, 0)
+    }
+
+    #[test]
+    fn resend_of_a_failed_append_is_refused_not_acked() {
+        let tmp = TempDir::new("replica-ingest-fault");
+        let vfs = FaultVfs::new_disarmed(FaultPlan::fail_nth_sync(1));
+        let unit = unit_on(tmp.path(), &vfs);
+        let metrics = replica_metrics();
+        let events: Vec<EdgeEvent> = (0..4)
+            .map(|i| EdgeEvent::follow(UserId(11), UserId(100 + i), Timestamp::from_secs(i)))
+            .collect();
+        let mut out = Vec::new();
+        assert_eq!(
+            unit.ingest(0, 0, &events[..2], &mut out, &metrics).unwrap(),
+            2
+        );
+
+        // The batch's fsync fails: the append errors and poisons the WAL.
+        vfs.set_armed(true);
+        assert!(unit.ingest(0, 2, &events[2..], &mut out, &metrics).is_err());
+        assert_eq!(vfs.fired_count(), 1);
+        assert_eq!(unit.durable.load(Ordering::Acquire), 2);
+
+        // The client's resends of that batch are never held or acked —
+        // the engine's sequence counter moved past them, the watermark
+        // did not.
+        for _ in 0..2 {
+            assert!(unit.ingest(0, 2, &events[2..], &mut out, &metrics).is_err());
+            assert_eq!(unit.durable.load(Ordering::Acquire), 2);
+            assert_eq!(unit.status().durable, 2);
+        }
+        // A resend of the acked batch is still a held duplicate.
+        assert_eq!(
+            unit.ingest(0, 0, &events[..2], &mut out, &metrics).unwrap(),
+            2
+        );
+    }
+
+    #[test]
+    fn ingest_refuses_gaps_and_stale_epochs() {
+        let tmp = TempDir::new("replica-ingest-gap");
+        let unit = unit_on(tmp.path(), &FaultVfs::new_disarmed(FaultPlan::none()));
+        let metrics = replica_metrics();
+        let events = [EdgeEvent::follow(
+            UserId(11),
+            UserId(100),
+            Timestamp::from_secs(1),
+        )];
+        let mut out = Vec::new();
+        assert!(matches!(
+            unit.ingest(0, 1, &events, &mut out, &metrics),
+            Err(Error::ReplicaGap {
+                expected: 0,
+                got: 1,
+                ..
+            })
+        ));
+        assert!(matches!(
+            unit.ingest(1, 0, &events, &mut out, &metrics),
+            Err(Error::WrongLeader { .. })
+        ));
+        assert_eq!(unit.ingest(0, 0, &events, &mut out, &metrics).unwrap(), 1);
+    }
 
     #[test]
     fn safe_name_rejects_traversal() {

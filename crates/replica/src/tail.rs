@@ -20,7 +20,7 @@
 //! decoder's duplicate skip absorbs the overlap. That trades a little
 //! loopback bandwidth for never having to reason about torn-tail
 //! offsets across reconnects — the only cursor that matters is the
-//! engine's own durable sequence.
+//! unit's durable watermark.
 //!
 //! ## Bootstrap (rebalance)
 //!
@@ -28,9 +28,10 @@
 //! *every settled file* of the source's partition directory
 //! (`StateListReq`/`StateFetch`): base snapshot, checkpoint chain, WAL
 //! segments. The target then runs ordinary crash recovery
-//! ([`PersistentEngine::open`]) over the copied directory — the same
-//! code path a reboot uses, so a half-shipped WAL tail is truncated,
-//! not trusted — and tails forward from wherever recovery landed.
+//! ([`PersistentConcurrentEngine::open`](magicrecs_persist::PersistentConcurrentEngine::open))
+//! over the copied directory — the same code path a reboot uses, so a
+//! half-shipped WAL tail is truncated, not trusted — and tails forward
+//! from wherever recovery landed.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,10 +39,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use magicrecs_graph::CapStrategy;
 use magicrecs_obs::recorder;
 use magicrecs_obs::TraceKind;
-use magicrecs_persist::{PersistentEngine, ShipDecoder, WalRecord};
+use magicrecs_persist::{ShipDecoder, WalRecord};
 use magicrecs_server::wire::{Frame, MAX_CHUNK_LEN};
 use magicrecs_server::ClientConn;
 use magicrecs_types::{EdgeEvent, Error, Result};
@@ -187,7 +187,7 @@ fn tail_round(inner: &Arc<NodeInner>, unit: &Arc<Unit>, conn: &mut ClientConn) -
             records.clear();
             decoder.feed(&bytes, &mut records)?;
             if !records.is_empty() {
-                apply(inner, unit, &records)?;
+                apply(unit, &records)?;
             }
         }
     }
@@ -209,15 +209,15 @@ fn tail_round(inner: &Arc<NodeInner>, unit: &Arc<Unit>, conn: &mut ClientConn) -
 }
 
 /// Applies shipped records through the local engine. The decoder emits
-/// densely from the unit's durable seq, and the engine assigns exactly
-/// those sequences on append — checked, because a mismatch means the
-/// replica would silently diverge.
-fn apply(inner: &Arc<NodeInner>, unit: &Arc<Unit>, records: &[WalRecord]) -> Result<()> {
-    let mut engine = unit.engine.lock().unwrap();
-    let next = engine.next_seq();
-    if records[0].seq != next {
+/// densely from the unit's durable watermark, and the one-partition log
+/// assigns exactly those sequences on append — checked, because a
+/// mismatch means the replica would silently diverge.
+fn apply(unit: &Arc<Unit>, records: &[WalRecord]) -> Result<()> {
+    let engine = unit.engine.lock().unwrap();
+    let durable = unit.durable.load(Ordering::Acquire);
+    if records[0].seq != durable {
         return Err(Error::Invariant(format!(
-            "ship stream at seq {} but local engine expects {next}",
+            "ship stream at seq {} but local engine expects {durable}",
             records[0].seq
         )));
     }
@@ -226,8 +226,8 @@ fn apply(inner: &Arc<NodeInner>, unit: &Arc<Unit>, records: &[WalRecord]) -> Res
     // subscribers; candidates are discarded, not delivered twice.
     let mut discard = Vec::new();
     engine.on_events_into(&events, &mut discard)?;
-    unit.durable.store(engine.next_seq(), Ordering::Release);
-    let _ = inner;
+    unit.durable
+        .store(durable + events.len() as u64, Ordering::Release);
     Ok(())
 }
 
@@ -268,20 +268,9 @@ pub(crate) fn get_or_bootstrap(
         fetch_state_file(inner, &mut conn, partition, &name, &dir)?;
     }
     drop(conn);
-    let opts = cfg.persist_opts();
-    let (engine, _report) =
-        PersistentEngine::open(&dir, cfg.detector, CapStrategy::None, opts)?;
-    let durable = engine.next_seq();
+    let engine = cfg.open_engine(&dir)?;
     let hint = cfg.map.partition(partition).map(|p| p.leader).unwrap_or(0);
-    let unit = Arc::new(Unit {
-        partition,
-        dir,
-        gate: magicrecs_cluster::EpochGate::new(partition, 0, false, hint),
-        engine: std::sync::Mutex::new(engine),
-        durable: std::sync::atomic::AtomicU64::new(durable),
-        replicated: std::sync::atomic::AtomicU64::new(0),
-        tail: std::sync::Mutex::new(None),
-    });
+    let unit = Arc::new(Unit::new(partition, dir, engine, false, hint));
     inner
         .units
         .lock()

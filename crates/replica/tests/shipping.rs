@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use common::{make_events, map_with, Twin};
 use magicrecs_obs::recorder;
 use magicrecs_persist::TempDir;
-use magicrecs_replica::{fixture_graph, Coordinator, Node, NodeConfig, RoutedClient};
+use magicrecs_replica::{fixture_graph, Coordinator, Node, NodeConfig, RoutedClient, WAL_PREFIX};
 
 fn wait_for<F: FnMut() -> bool>(what: &str, timeout: Duration, mut f: F) {
     let deadline = Instant::now() + timeout;
@@ -113,16 +113,17 @@ fn follower_refuses_history_gap_with_typed_trace() {
     // then reclaimed-by-hand), so a from-zero follower faces a hole.
     let map = map_with(400, 0xF03, 2, &[(0, 1)]);
     let tmp = TempDir::new("ship-gap");
+    let dir = tmp.path().join("n0").join("p0");
     {
-        let mut engine = magicrecs_persist::PersistentEngine::create(
-            &tmp.path().join("n0").join("p0"),
+        let engine = magicrecs_persist::PersistentConcurrentEngine::create(
+            &dir,
             fixture_graph(&map),
             0,
             magicrecs_types::DetectorConfig::default(),
+            1,
             magicrecs_persist::PersistOptions {
                 fsync: magicrecs_persist::FsyncPolicy::Always,
                 segment_bytes: 4 << 10,
-                checkpoint_every: 0,
                 ..Default::default()
             },
         )
@@ -131,20 +132,15 @@ fn follower_refuses_history_gap_with_typed_trace() {
             engine.on_event(e).unwrap();
         }
         engine.checkpoint().unwrap();
-        assert!(
-            engine.wal_segments() > 2,
-            "need several segments to punch a hole"
-        );
-        engine.close().unwrap();
     }
     // Drop the first WAL segment: history now starts above seq 0.
-    let dir = tmp.path().join("n0").join("p0");
     let mut wals: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("wal-"))
+        .filter(|n| n.starts_with(WAL_PREFIX))
         .collect();
+    assert!(wals.len() > 2, "need several segments to punch a hole");
     wals.sort();
     std::fs::remove_file(dir.join(&wals[0])).unwrap();
 
