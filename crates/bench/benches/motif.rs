@@ -1,5 +1,6 @@
-//! Declarative-framework benches (experiment E10): plan-interpretation
-//! overhead vs the hand-coded detector, parser/planner cost.
+//! Declarative-framework benches (experiment E10): a compiled motif plan
+//! (the served `ConcurrentEngine` behind the plan's kind filter) vs the
+//! hand-coded sequential detector, and parser/planner cost.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use magicrecs_bench::{bench_trace, small_graph};

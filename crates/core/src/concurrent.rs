@@ -150,13 +150,17 @@ impl std::fmt::Debug for ConcurrentEngine {
 impl ConcurrentEngine {
     /// Creates an engine over `graph` with a default-sharded wheel-pruned
     /// store (entry caps mirroring [`crate::Engine::new`]).
-    pub fn new(graph: FollowGraph, config: DetectorConfig) -> Result<Self> {
+    ///
+    /// Every constructor takes `S` as a [`FollowGraph`] or an
+    /// already-shared `Arc<FollowGraph>`, so several engines (one per motif
+    /// program) can detect against one graph.
+    pub fn new(graph: impl Into<Arc<FollowGraph>>, config: DetectorConfig) -> Result<Self> {
         ConcurrentEngine::with_algo(graph, config, ThresholdAlgo::Adaptive)
     }
 
     /// Creates an engine pinned to a threshold algorithm (ablation B2).
     pub fn with_algo(
-        graph: FollowGraph,
+        graph: impl Into<Arc<FollowGraph>>,
         config: DetectorConfig,
         algo: ThresholdAlgo,
     ) -> Result<Self> {
@@ -168,7 +172,7 @@ impl ConcurrentEngine {
     /// Creates an engine over a caller-configured sharded store, with a
     /// fresh per-engine metrics registry.
     pub fn with_store(
-        graph: FollowGraph,
+        graph: impl Into<Arc<FollowGraph>>,
         store: ShardedTemporalStore,
         config: DetectorConfig,
         algo: ThresholdAlgo,
@@ -181,7 +185,7 @@ impl ConcurrentEngine {
     /// branch, which is the control arm of the instrumentation overhead
     /// guard (`hotpath -- --obs-only`).
     pub fn with_registry(
-        graph: FollowGraph,
+        graph: impl Into<Arc<FollowGraph>>,
         config: DetectorConfig,
         registry: Registry,
     ) -> Result<Self> {
@@ -193,7 +197,7 @@ impl ConcurrentEngine {
     /// The fully-explicit constructor: caller-configured store, threshold
     /// algorithm, and metrics registry.
     pub fn with_store_on(
-        graph: FollowGraph,
+        graph: impl Into<Arc<FollowGraph>>,
         store: ShardedTemporalStore,
         config: DetectorConfig,
         algo: ThresholdAlgo,
@@ -202,7 +206,7 @@ impl ConcurrentEngine {
         config.validate()?;
         Ok(ConcurrentEngine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
-            graph: RwLock::new(Arc::new(graph)),
+            graph: RwLock::new(graph.into()),
             store,
             config,
             algo,

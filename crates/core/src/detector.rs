@@ -69,9 +69,8 @@ pub struct DiamondDetector {
     matches: Vec<(DenseId, u32)>,
     /// Per-list frontier for witness recovery at emission: matches emit in
     /// ascending dense order, so one monotone galloping cursor per list
-    /// replaces the per-candidate binary searches `lists_containing` paid
-    /// (a fresh O(log |S[B]|) against every celebrity-sized list, per
-    /// candidate).
+    /// replaces a per-candidate binary search of every list (a fresh
+    /// O(log |S[B]|) against every celebrity-sized list, per candidate).
     witness_cursors: Vec<usize>,
 }
 

@@ -468,17 +468,6 @@ pub fn threshold_naive<V: Copy + Ord>(lists: &[&[V]], k: usize) -> Vec<(V, u32)>
         .collect()
 }
 
-/// Recovers which lists contain `value` (indices ascending) — used by the
-/// detector to attach per-candidate witness sets after counting.
-pub fn lists_containing<V: Copy + Ord>(lists: &[&[V]], value: V) -> Vec<u32> {
-    lists
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.binary_search(&value).is_ok())
-        .map(|(i, _)| i as u32)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,15 +599,6 @@ mod tests {
             run(ThresholdAlgo::PivotSkip, &lists, 2),
             vec![(1, 4), (5, 2), (9, 4)]
         );
-    }
-
-    #[test]
-    fn lists_containing_finds_indices() {
-        let owned = [ids(&[1, 2, 3]), ids(&[2, 4]), ids(&[3, 4])];
-        let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-        assert_eq!(lists_containing(&slices, UserId(2)), vec![0, 1]);
-        assert_eq!(lists_containing(&slices, UserId(4)), vec![1, 2]);
-        assert_eq!(lists_containing(&slices, UserId(9)), Vec::<u32>::new());
     }
 
     #[test]

@@ -1,46 +1,39 @@
 //! Plan execution against the online graph infrastructure.
 //!
-//! [`MotifEngine`] interprets one [`Plan`] step-by-step over a shared
-//! static graph and a private dynamic store (each motif program keeps its
-//! own `D` — different motifs have different windows and kind filters,
-//! matching the paper's "additional programs that use the graph
-//! infrastructure, which may need to be augmented to include other data
-//! structures").
+//! [`MotifEngine`] runs one [`Plan`] on the served engine: the plan's
+//! [`DetectorConfig`](magicrecs_types::DetectorConfig) drives a
+//! [`ConcurrentEngine`] over a shared static graph, and the plan's kind
+//! filter decides which events reach it. Each program keeps its own `D`
+//! (different motifs have different windows and kind filters, matching the
+//! paper's "additional programs that use the graph infrastructure, which
+//! may need to be augmented to include other data structures"); expiry,
+//! detection and metrics are the engine's.
 //!
 //! [`MotifSuite`] runs several programs over one shared graph — the
 //! multi-motif deployment §3 envisions.
 
-use crate::plan::{Plan, PlanStep};
+use crate::plan::Plan;
 use crate::planner::plan_motif;
 use crate::spec::MotifSpec;
-use magicrecs_core::threshold::{lists_containing, threshold_intersect, ThresholdAlgo};
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::FollowGraph;
-use magicrecs_temporal::TemporalEdgeStore;
-use magicrecs_types::{Candidate, Counter, DenseId, EdgeEvent, Result, Timestamp, UserId};
+use magicrecs_temporal::ShardedTemporalStore;
+use magicrecs_types::{Candidate, EdgeEvent, Result, Timestamp};
 use std::sync::Arc;
 
-/// An executable motif program: plan + private dynamic store.
+/// An executable motif program: a plan bound to its own engine.
 #[derive(Debug)]
 pub struct MotifEngine {
     plan: Plan,
-    graph: Arc<FollowGraph>,
-    store: TemporalEdgeStore,
-    events: Counter,
-    emitted: Counter,
+    engine: ConcurrentEngine,
 }
 
 impl MotifEngine {
     /// Compiles `spec` and binds it to the shared graph.
     pub fn new(spec: &MotifSpec, graph: Arc<FollowGraph>) -> Result<Self> {
         let plan = plan_motif(spec)?;
-        let store = TemporalEdgeStore::with_window(plan.window);
-        Ok(MotifEngine {
-            plan,
-            graph,
-            store,
-            events: Counter::new(),
-            emitted: Counter::new(),
-        })
+        let engine = ConcurrentEngine::new(graph, plan.config)?;
+        Ok(MotifEngine { plan, engine })
     }
 
     /// Parses, compiles, and binds a textual spec in one step.
@@ -61,119 +54,32 @@ impl MotifEngine {
 
     /// Events this program accepted (post kind filter).
     pub fn events_processed(&self) -> u64 {
-        self.events.get()
+        self.engine.stats().events
     }
 
     /// Candidates emitted.
     pub fn candidates_emitted(&self) -> u64 {
-        self.emitted.get()
+        self.engine.stats().candidates
     }
 
-    /// Interprets the plan over one event.
+    /// Runs one event through the kind filter and, if accepted, the
+    /// engine. Taking `&mut self` keeps one submitter per program, which
+    /// is the per-target ordering the engine's results depend on.
     pub fn on_event(&mut self, event: EdgeEvent) -> Vec<Candidate> {
         if !self.plan.accepts_kind(event.kind) {
             return Vec::new();
         }
-        self.events.incr();
-
-        let t = event.created_at;
-        let mut witnesses: Vec<(UserId, Timestamp)> = Vec::new();
-        // Follower lists and match counting run in dense-id space, like
-        // the hand-written detector; raw ids reappear only at emission.
-        let mut lists: Vec<&[DenseId]> = Vec::new();
-        let mut matches: Vec<(DenseId, u32)> = Vec::new();
-        let mut out: Vec<Candidate> = Vec::new();
-        let dense_dst = self.graph.dense_of(event.dst);
-
-        // Interpreter registers are loaded lazily by the steps; each step
-        // may abort the remainder of the plan.
-        for step in &self.plan.steps {
-            match step {
-                PlanStep::IngestDynamic => {
-                    if event.kind.is_insertion() {
-                        self.store.insert(event.src, event.dst, t);
-                    } else {
-                        self.store.remove(event.src, event.dst);
-                        return Vec::new(); // removals never emit
-                    }
-                }
-                PlanStep::LoadWitnesses => {
-                    self.store.witnesses_into(event.dst, t, &mut witnesses);
-                }
-                PlanStep::RequireWitnesses(k) => {
-                    if witnesses.len() < *k {
-                        return Vec::new();
-                    }
-                }
-                PlanStep::CapWitnesses(cap) => {
-                    if witnesses.len() > *cap {
-                        witnesses.sort_unstable_by_key(|&(b, at)| (std::cmp::Reverse(at), b));
-                        witnesses.truncate(*cap);
-                    }
-                    witnesses.sort_unstable_by_key(|&(b, _)| b);
-                }
-                PlanStep::LoadFollowerLists => {
-                    // If no cap step ran, still canonicalize order.
-                    if !witnesses.windows(2).all(|w| w[0].0 <= w[1].0) {
-                        witnesses.sort_unstable_by_key(|&(b, _)| b);
-                    }
-                    lists = witnesses
-                        .iter()
-                        .map(|&(b, _)| {
-                            self.graph
-                                .dense_of(b)
-                                .map_or(&[] as &[DenseId], |db| self.graph.followers_dense(db))
-                        })
-                        .collect();
-                }
-                PlanStep::ThresholdCount(k) => {
-                    threshold_intersect(ThresholdAlgo::Adaptive, &lists, *k, &mut matches);
-                    if matches.is_empty() {
-                        return Vec::new();
-                    }
-                }
-                PlanStep::FilterSelf => {
-                    matches.retain(|&(a, _)| Some(a) != dense_dst);
-                }
-                PlanStep::FilterWitnesses => {
-                    matches.retain(|&(a, _)| {
-                        let raw = self.graph.user_of(a);
-                        witnesses.binary_search_by_key(&raw, |&(b, _)| b).is_err()
-                    });
-                }
-                PlanStep::FilterAlreadyFollowing => {
-                    matches.retain(|&(a, _)| {
-                        !dense_dst.is_some_and(|dc| self.graph.follows_dense(a, dc))
-                    });
-                }
-                PlanStep::EmitCandidates => {
-                    for &(a, _) in &matches {
-                        let wit: Vec<UserId> = lists_containing(&lists, a)
-                            .into_iter()
-                            .map(|i| witnesses[i as usize].0)
-                            .collect();
-                        out.push(Candidate {
-                            user: self.graph.user_of(a),
-                            target: event.dst,
-                            witnesses: wit,
-                            triggered_at: t,
-                        });
-                    }
-                }
-            }
-        }
-        self.emitted.add(out.len() as u64);
-        out
+        self.engine.on_event(event)
     }
 
     /// Forces dynamic-store expiry.
     pub fn advance(&mut self, now: Timestamp) {
-        self.store.advance(now);
+        self.engine.advance(now);
     }
 
-    /// The private dynamic store (size accounting).
-    pub fn store(&self) -> &TemporalEdgeStore {
-        &self.store
+    /// The program's dynamic store (size accounting).
+    pub fn store(&self) -> &ShardedTemporalStore {
+        self.engine.store()
     }
 }
 
@@ -236,7 +142,7 @@ impl MotifSuite {
 mod tests {
     use super::*;
     use magicrecs_graph::GraphBuilder;
-    use magicrecs_types::{Duration, EdgeKind};
+    use magicrecs_types::{Duration, EdgeKind, UserId};
 
     fn u(n: u64) -> UserId {
         UserId(n)
@@ -388,6 +294,21 @@ mod tests {
         let text = m.plan().explain();
         assert!(text.contains("PLAN diamond2"));
         assert!(text.contains("EmitCandidates"));
+    }
+
+    #[test]
+    fn cold_targets_expire_without_advance() {
+        // Follows to 5000 distinct targets, 1 s apart, in a 30 s window:
+        // the engine's periodic expiry (every 1024 events) must keep the
+        // program's `D` from holding every cold target forever.
+        let src = "motif fast { A -> B : static; B -> C : dynamic within 30s; \
+                   trigger B -> C; emit (A, C) when count(B) >= 2; }";
+        let mut m = MotifEngine::from_text(src, figure1()).unwrap();
+        for i in 0..5_000u64 {
+            m.on_event(EdgeEvent::follow(u(11), u(100_000 + i), ts(1 + i)));
+        }
+        let resident = m.store().resident_entries();
+        assert!(resident < 1024, "{resident} entries resident");
     }
 
     #[test]

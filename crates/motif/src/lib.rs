@@ -6,7 +6,8 @@
 //! database. This would seem to represent an entirely new class of data
 //! management systems."
 //!
-//! Pipeline: **text spec → AST → validated plan → executor**.
+//! Pipeline: **text spec → AST → [`Plan`] (`DetectorConfig` + kind filter)
+//! → `ConcurrentEngine`**.
 //!
 //! ```text
 //! motif diamond {
@@ -20,16 +21,16 @@
 //! * [`spec`] — the AST ([`MotifSpec`]) and its structural validation.
 //! * [`parse`] — a hand-rolled recursive-descent parser with line/column
 //!   errors (no parser dependencies).
-//! * [`plan`] — the physical plan: an ordered list of [`plan::PlanStep`]s
-//!   with an `EXPLAIN`-style renderer.
+//! * [`plan`] — the physical plan: the detector configuration the engine
+//!   runs plus the trigger's kind filter, with an `EXPLAIN`-style renderer.
 //! * [`planner`] — compiles specs in the *diamond family* (one static
 //!   fan-in joined against one windowed dynamic fan-in) to plans; anything
 //!   outside the family is rejected with a diagnostic, documenting the
 //!   current planner's frontier exactly as a young query engine would.
-//! * [`exec`] — [`MotifEngine`] interprets a plan against the shared graph
-//!   infrastructure; [`MotifSuite`] runs several motif programs over one
-//!   graph, the paper's "additional programs that use the graph
-//!   infrastructure".
+//! * [`exec`] — [`MotifEngine`] runs a plan on the served
+//!   `ConcurrentEngine`, behind the plan's kind filter; [`MotifSuite`] runs
+//!   several motif programs over one graph, the paper's "additional
+//!   programs that use the graph infrastructure".
 //! * [`library`] — built-in specs: the production diamond, the k=2 example,
 //!   content co-engagement, and a celebrity-burst variant.
 
@@ -47,6 +48,6 @@ pub mod spec;
 pub use cluster::MotifCluster;
 pub use exec::{MotifEngine, MotifSuite};
 pub use parse::parse_motif;
-pub use plan::{Plan, PlanStep};
+pub use plan::Plan;
 pub use planner::plan_motif;
 pub use spec::{EdgeDecl, EmitDecl, Layer, MotifSpec};

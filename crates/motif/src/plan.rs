@@ -1,73 +1,26 @@
-//! Physical plans: an ordered list of executable steps plus an
+//! Physical plans: a detector configuration plus a kind filter, and an
 //! `EXPLAIN`-style renderer.
 //!
-//! The planner compiles a [`crate::MotifSpec`] into a [`Plan`]; the
-//! executor interprets the steps in order against the graph
-//! infrastructure. Steps operate on a small, fixed register set (the
-//! event, the witness list, the follower lists, the match list) — the
-//! shape every diamond-family motif shares.
+//! The planner compiles a [`crate::MotifSpec`] into a [`Plan`]. Every
+//! diamond-family motif is the paper's diamond with its own `k`, `τ`,
+//! witness cap and filters, so the plan's executable part is a
+//! [`DetectorConfig`] the served `ConcurrentEngine` runs as-is; the only
+//! thing a plan adds is the trigger edge's kind filter, applied in front
+//! of the engine.
 
-use magicrecs_types::{Duration, EdgeKind};
-use std::fmt;
-
-/// One executable operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanStep {
-    /// Apply the event to the dynamic store (insert/remove), honoring the
-    /// plan's kind filter. Non-matching events abort the plan.
-    IngestDynamic,
-    /// witnesses ← distinct in-window sources of `event.dst`.
-    LoadWitnesses,
-    /// Abort unless `witnesses.len() >= k`.
-    RequireWitnesses(usize),
-    /// Keep only the `n` most recent witnesses.
-    CapWitnesses(usize),
-    /// lists ← static follower list of each witness.
-    LoadFollowerLists,
-    /// matches ← values in ≥ k of the lists (threshold intersection).
-    ThresholdCount(usize),
-    /// Drop the event target from matches.
-    FilterSelf,
-    /// Drop matches that are themselves witnesses.
-    FilterWitnesses,
-    /// Drop matches that already statically follow the target.
-    FilterAlreadyFollowing,
-    /// Materialize matches as candidates.
-    EmitCandidates,
-}
-
-impl fmt::Display for PlanStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanStep::IngestDynamic => write!(f, "IngestDynamic[D.insert/remove]"),
-            PlanStep::LoadWitnesses => write!(f, "LoadWitnesses[D lookup by target]"),
-            PlanStep::RequireWitnesses(k) => write!(f, "RequireWitnesses[n >= {k}]"),
-            PlanStep::CapWitnesses(n) => write!(f, "CapWitnesses[{n} most recent]"),
-            PlanStep::LoadFollowerLists => write!(f, "LoadFollowerLists[S lookup per witness]"),
-            PlanStep::ThresholdCount(k) => {
-                write!(f, "ThresholdCount[sorted-list intersection, k = {k}]")
-            }
-            PlanStep::FilterSelf => write!(f, "FilterSelf"),
-            PlanStep::FilterWitnesses => write!(f, "FilterWitnesses"),
-            PlanStep::FilterAlreadyFollowing => write!(f, "FilterAlreadyFollowing[S probe]"),
-            PlanStep::EmitCandidates => write!(f, "EmitCandidates"),
-        }
-    }
-}
+use magicrecs_types::{DetectorConfig, EdgeKind};
+use std::fmt::Write;
 
 /// An executable motif plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Motif name (from the spec).
     pub name: String,
-    /// Recency window of the trigger edge.
-    pub window: Duration,
-    /// Distinct-witness threshold.
-    pub k: usize,
     /// Event kinds the trigger edge accepts (`None` = all insertions).
     pub kinds: Option<Vec<EdgeKind>>,
-    /// Operators in execution order.
-    pub steps: Vec<PlanStep>,
+    /// The detector the engine runs: `k`, window `tau`, witness cap and
+    /// existing-follower filtering.
+    pub config: DetectorConfig,
 }
 
 impl Plan {
@@ -86,16 +39,17 @@ impl Plan {
         }
     }
 
-    /// Renders the plan in `EXPLAIN` style.
+    /// Renders the plan in `EXPLAIN` style: the header, then the
+    /// detector's fixed stages as `config` parameterises them.
     pub fn explain(&self) -> String {
-        use std::fmt::Write;
+        let c = &self.config;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "PLAN {} (window = {}, k = {}, kinds = {})",
             self.name,
-            self.window,
-            self.k,
+            c.tau,
+            c.k,
             match &self.kinds {
                 None => "any".to_string(),
                 Some(ks) => ks
@@ -105,8 +59,27 @@ impl Plan {
                     .join("|"),
             }
         );
-        for (i, step) in self.steps.iter().enumerate() {
-            let _ = writeln!(out, "  {i:>2}. {step}");
+        let mut stages = vec![
+            "IngestDynamic[D.insert/remove]".to_string(),
+            "LoadWitnesses[D lookup by target]".to_string(),
+            format!("RequireWitnesses[n >= {}]", c.k),
+        ];
+        if let Some(cap) = c.max_witnesses {
+            stages.push(format!("CapWitnesses[{cap} most recent]"));
+        }
+        stages.push("LoadFollowerLists[S lookup per witness]".to_string());
+        stages.push(format!(
+            "ThresholdCount[sorted-list intersection, k = {}]",
+            c.k
+        ));
+        stages.push("FilterSelf".to_string());
+        if c.skip_existing {
+            stages.push("FilterWitnesses".to_string());
+            stages.push("FilterAlreadyFollowing[S probe]".to_string());
+        }
+        stages.push("EmitCandidates".to_string());
+        for (i, stage) in stages.iter().enumerate() {
+            let _ = writeln!(out, "  {i:>2}. {stage}");
         }
         out
     }
@@ -119,18 +92,8 @@ mod tests {
     fn plan() -> Plan {
         Plan {
             name: "diamond".into(),
-            window: Duration::from_secs(600),
-            k: 3,
             kinds: Some(vec![EdgeKind::Follow]),
-            steps: vec![
-                PlanStep::IngestDynamic,
-                PlanStep::LoadWitnesses,
-                PlanStep::RequireWitnesses(3),
-                PlanStep::LoadFollowerLists,
-                PlanStep::ThresholdCount(3),
-                PlanStep::FilterSelf,
-                PlanStep::EmitCandidates,
-            ],
+            config: DetectorConfig::production(),
         }
     }
 
@@ -163,6 +126,8 @@ mod tests {
         assert!(text.contains("PLAN diamond"));
         assert!(text.contains("window = 600.000s"));
         assert!(text.contains("ThresholdCount"));
-        assert_eq!(text.lines().count(), 1 + p.steps.len());
+        // Header plus the production detector's ten stages: ingest, load,
+        // require, cap, follower lists, threshold, three filters, emit.
+        assert_eq!(text.lines().count(), 1 + 10);
     }
 }

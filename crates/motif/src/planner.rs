@@ -11,17 +11,16 @@
 //!
 //! i.e. one static fan-in joined against one windowed dynamic fan-in. This
 //! is exactly the class the paper's production system runs, generalized
-//! over `k`, `τ`, and event kinds. Specs outside the family (extra edges,
-//! longer paths, emitting a witness) are rejected with a diagnostic naming
-//! the unsupported feature — the honest frontier of a young query planner.
+//! over `k`, `τ`, and event kinds, so a plan is the production
+//! [`DetectorConfig`] with the spec's parameters plus a kind filter. Specs
+//! outside the family (extra edges, longer paths, emitting a witness) are
+//! rejected with a diagnostic naming the unsupported feature — the honest
+//! frontier of a young query planner. So are specs whose parameters the
+//! detector refuses (`count(..) >= 1`: the detector needs `k >= 2`).
 
-use crate::plan::{Plan, PlanStep};
+use crate::plan::Plan;
 use crate::spec::{Layer, MotifSpec};
-use magicrecs_types::{Error, Result};
-
-/// Default witness cap inserted into plans (mirrors
-/// `DetectorConfig::production`).
-const DEFAULT_WITNESS_CAP: usize = 64;
+use magicrecs_types::{DetectorConfig, Error, Result};
 
 /// Compiles `spec` into a [`Plan`].
 pub fn plan_motif(spec: &MotifSpec) -> Result<Plan> {
@@ -85,27 +84,24 @@ pub fn plan_motif(spec: &MotifSpec) -> Result<Plan> {
     }
 
     let k = spec.emit.min_count;
-    let cap = spec.witness_cap.unwrap_or(DEFAULT_WITNESS_CAP).max(k);
-    let mut steps = vec![
-        PlanStep::IngestDynamic,
-        PlanStep::LoadWitnesses,
-        PlanStep::RequireWitnesses(k),
-        PlanStep::CapWitnesses(cap),
-        PlanStep::LoadFollowerLists,
-        PlanStep::ThresholdCount(k),
-        PlanStep::FilterSelf,
-    ];
-    if !spec.allow_existing {
-        steps.push(PlanStep::FilterWitnesses);
-        steps.push(PlanStep::FilterAlreadyFollowing);
-    }
-    steps.push(PlanStep::EmitCandidates);
+    let production = DetectorConfig::production();
+    let config = DetectorConfig {
+        k,
+        tau: window,
+        max_witnesses: spec
+            .witness_cap
+            .or(production.max_witnesses)
+            .map(|cap| cap.max(k)),
+        skip_existing: !spec.allow_existing,
+        ..production
+    };
+    config
+        .validate()
+        .map_err(|e| Error::MotifPlan(e.to_string()))?;
     Ok(Plan {
         name: spec.name.clone(),
-        window,
-        k,
         kinds: trigger.kinds.clone(),
-        steps,
+        config,
     })
 }
 
@@ -125,11 +121,10 @@ mod tests {
     fn plans_the_diamond() {
         let spec = parse_motif(&diamond_src(3)).unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert_eq!(plan.k, 3);
-        assert_eq!(plan.window, magicrecs_types::Duration::from_secs(600));
-        assert_eq!(plan.steps.first(), Some(&PlanStep::IngestDynamic));
-        assert_eq!(plan.steps.last(), Some(&PlanStep::EmitCandidates));
-        assert!(plan.steps.contains(&PlanStep::ThresholdCount(3)));
+        assert_eq!(plan.config.k, 3);
+        assert_eq!(plan.config.tau, magicrecs_types::Duration::from_secs(600));
+        // k = 3 over a 600 s window is exactly the production detector.
+        assert_eq!(plan.config, DetectorConfig::production());
     }
 
     #[test]
@@ -199,10 +194,20 @@ mod tests {
     }
 
     #[test]
+    fn threshold_below_two_rejected_with_diagnostic() {
+        // Well-formed as a spec, but the detector needs k >= 2.
+        let spec = parse_motif(&diamond_src(1)).unwrap();
+        assert!(spec.validate().is_ok());
+        let err = plan_motif(&spec).unwrap_err();
+        assert!(matches!(err, Error::MotifPlan(_)), "{err:?}");
+        assert!(err.to_string().contains("k must be at least 2"), "{err}");
+    }
+
+    #[test]
     fn witness_cap_at_least_k() {
         let spec = parse_motif(&diamond_src(100)).unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(plan.steps.contains(&PlanStep::CapWitnesses(100)));
+        assert_eq!(plan.config.max_witnesses, Some(100));
     }
 
     #[test]
@@ -213,7 +218,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(plan.steps.contains(&PlanStep::CapWitnesses(8)));
+        assert_eq!(plan.config.max_witnesses, Some(8));
     }
 
     #[test]
@@ -224,8 +229,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(!plan.steps.contains(&PlanStep::FilterWitnesses));
-        assert!(!plan.steps.contains(&PlanStep::FilterAlreadyFollowing));
+        assert!(!plan.config.skip_existing);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Cross-implementation consistency properties, driven by proptest.
 //!
-//! Three independent implementations of the motif semantics exist in this
-//! workspace (the production engine, the brute-force oracle, the
-//! declarative motif executor) plus two distributions of the engine
-//! (sequential broker, threaded cluster). On arbitrary graphs and traces
-//! they must all agree.
+//! The production engine is checked against the brute-force oracle
+//! (`BatchOracle`), the independent implementation of the motif
+//! semantics, and against its two distributions (sequential broker,
+//! threaded cluster). A declarative motif program runs the same served
+//! engine behind its plan's kind filter, so its check is the oracle over
+//! the trace that filter admits. On arbitrary graphs and traces they must
+//! all agree.
 
 use magicrecs::baseline::BatchOracle;
 use magicrecs::cluster::{Broker, ThreadedCluster};
@@ -51,6 +53,23 @@ fn graph_and_trace() -> impl Strategy<Value = (FollowGraph, Vec<EdgeEvent>)> {
     })
 }
 
+/// Strategy: [`graph_and_trace`] with each follow redrawn as a follow or a
+/// retweet, so kind filters have something to filter.
+fn graph_and_mixed_trace() -> impl Strategy<Value = (FollowGraph, Vec<EdgeEvent>)> {
+    (
+        graph_and_trace(),
+        proptest::collection::vec(prop::bool::ANY, 60..61),
+    )
+        .prop_map(|((graph, mut events), retweet)| {
+            for (e, rt) in events.iter_mut().zip(retweet) {
+                if rt && e.kind == EdgeKind::Follow {
+                    e.kind = EdgeKind::Retweet;
+                }
+            }
+            (graph, events)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -85,9 +104,17 @@ proptest! {
 
     #[test]
     fn declarative_agrees_with_oracle(
-        (graph, events) in graph_and_trace(),
+        (graph, events) in graph_and_mixed_trace(),
         k in 2usize..4,
+        retweets in prop::bool::ANY,
     ) {
+        let kind = if retweets { "retweet" } else { "follow" };
+        let src = format!(
+            "motif m {{ A -> B : static; B -> C : dynamic within 200s kinds {kind}; \
+             trigger B -> C; emit (A, C) when count(B) >= {k}; }}"
+        );
+        let mut m = MotifEngine::from_text(&src, Arc::new(graph.clone())).unwrap();
+
         // The planner's witness cap is 64; mirror it in the oracle config.
         let cfg = DetectorConfig {
             k,
@@ -96,14 +123,14 @@ proptest! {
             max_candidates_per_event: None,
             skip_existing: true,
         };
+        let admitted: Vec<EdgeEvent> = events
+            .iter()
+            .copied()
+            .filter(|e| m.plan().accepts_kind(e.kind))
+            .collect();
         let oracle = BatchOracle::new(cfg).unwrap();
-        let expected = sorted(oracle.replay(&graph, &events));
+        let expected = sorted(oracle.replay(&graph, &admitted));
 
-        let src = format!(
-            "motif m {{ A -> B : static; B -> C : dynamic within 200s; \
-             trigger B -> C; emit (A, C) when count(B) >= {k}; }}"
-        );
-        let mut m = MotifEngine::from_text(&src, Arc::new(graph)).unwrap();
         let mut got = Vec::new();
         for &e in &events {
             got.extend(m.on_event(e));
